@@ -143,12 +143,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fast_is_measurably_cheaper() {
-        let (dog, fast) = measure_extractors(2);
-        assert!(fast < dog, "FAST {fast:.2} ms !< DoG {dog:.2} ms");
-    }
-
-    #[test]
     fn tables_have_expected_shape() {
         std::env::set_var("SCATTER_EXP_SECS", "10");
         let tables = run_figure();

@@ -753,6 +753,15 @@ impl LocalDeployment {
         }
     }
 
+    /// The loopback address `kind` listens on — where a test (or any
+    /// stray host on the network) can aim datagrams at a live service.
+    pub fn service_addr(&self, kind: ServiceKind) -> SocketAddr {
+        self.runners[kind.index()][0]
+            .socket
+            .local_addr()
+            .expect("local addr")
+    }
+
     /// Prometheus exposition of the live registry — the runtime's
     /// on-demand scrape endpoint (None when telemetry is disabled).
     pub fn scrape(&self) -> Option<String> {

@@ -582,6 +582,22 @@ pub fn run_service(
     }
 }
 
+/// The `sift` stage's compute, shared by the stateless loop and
+/// [`crate::runtime::stateful`]: detect, keep the `max_descriptors`
+/// strongest keypoints, describe those. The cap is applied by the
+/// detector — before orientation and description are spent on keypoints
+/// that would be dropped; `describe_all` preserves order, so the result
+/// equals describing everything and truncating.
+pub fn sift_descriptors(
+    img: &vision::GrayImage,
+    max_descriptors: usize,
+) -> Vec<vision::Descriptor> {
+    let mut params = DetectorParams::default();
+    params.max_keypoints = params.max_keypoints.min(max_descriptors);
+    let (pyr, kps) = vision::keypoints::detect(img, &params);
+    vision::descriptor::describe_all(&pyr, &kps)
+}
+
 /// The actual per-stage computation, on real pixels and descriptors.
 fn process(
     kind: ServiceKind,
@@ -604,9 +620,7 @@ fn process(
         }
         ServiceKind::Sift => {
             let img = decode_frame(msg.payload.clone())?;
-            let (pyr, kps) = vision::keypoints::detect(&img, &DetectorParams::default());
-            let mut descriptors = vision::descriptor::describe_all(&pyr, &kps);
-            descriptors.truncate(ctx.max_descriptors);
+            let descriptors = sift_descriptors(&img, ctx.max_descriptors);
             // Stateless sift: the descriptors travel IN the frame.
             Ok(encode_state(&FrameState {
                 descriptors,
@@ -622,6 +636,11 @@ fn process(
         }
         ServiceKind::Lsh => {
             let mut state = decode_state(msg.payload.clone())?;
+            // A frame that skipped `encoding` (or a crafted one) must not
+            // reach the index's dimension assert.
+            if state.fisher.len() != ctx.db.fisher_dim() {
+                return Err(WireError::PayloadValue);
+            }
             let fisher: Vec<f64> = state.fisher.iter().map(|&v| v as f64).collect();
             state.candidates = ctx
                 .db

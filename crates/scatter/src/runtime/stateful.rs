@@ -31,7 +31,6 @@ use std::time::{Duration, Instant};
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use simcore::SimRng;
-use vision::keypoints::DetectorParams;
 
 use crate::message::ServiceKind;
 use crate::obs::RtSvcObs;
@@ -39,7 +38,7 @@ use crate::runtime::batch::RecvBatch;
 use crate::runtime::impair::{RtSocket, SendDisposition};
 use crate::runtime::services::{
     attribute_evictions, attribute_net_drop, epoch_ns, is_would_block, send_msg_obs, send_msg_wire,
-    ExitReport, FaultCell, SharedCtx, SvcStats, PH_RT_COMPUTE,
+    sift_descriptors, ExitReport, FaultCell, SharedCtx, SvcStats, PH_RT_COMPUTE,
 };
 use crate::runtime::wire::{
     self, decode_frame, decode_state, encode_result, encode_state, FrameKey, FrameState,
@@ -272,9 +271,7 @@ pub fn run_stateful_sift(
                 continue;
             };
             let pt = ctx.prof.enter(PH_RT_COMPUTE);
-            let (pyr, kps) = vision::keypoints::detect(&img, &DetectorParams::default());
-            let mut descriptors = vision::descriptor::describe_all(&pyr, &kps);
-            descriptors.truncate(ctx.max_descriptors);
+            let descriptors = sift_descriptors(&img, ctx.max_descriptors);
             ctx.prof.exit(PH_RT_COMPUTE, pt);
             // Park the real state; forward a stub so downstream stages can
             // still compute the Fisher/LSH path... which needs descriptors.

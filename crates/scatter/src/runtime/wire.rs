@@ -417,13 +417,15 @@ impl Reassembler {
 
 /// A grayscale frame payload (u8 pixels).
 pub fn encode_frame(img: &vision::GrayImage) -> Bytes {
-    let mut buf = BytesMut::with_capacity(8 + img.width() * img.height());
+    let mut buf = Vec::with_capacity(8 + img.width() * img.height());
     buf.put_u32(img.width() as u32);
     buf.put_u32(img.height() as u32);
-    for &v in img.data() {
-        buf.put_u8((v.clamp(0.0, 1.0) * 255.0) as u8);
-    }
-    buf.freeze()
+    buf.extend(
+        img.data()
+            .iter()
+            .map(|&v| (v.clamp(0.0, 1.0) * 255.0) as u8),
+    );
+    Bytes::from(buf)
 }
 
 /// Decode a frame payload. Typed errors (like [`decode_fragment`]'s)
@@ -459,33 +461,57 @@ pub struct FrameState {
     pub candidates: Vec<u32>,
 }
 
+/// Wire size of one descriptor: 5 keypoint floats, octave, level, 128
+/// vector floats.
+const DESC_WIRE_BYTES: usize = 5 * 4 + 2 + 128 * 4;
+
+/// Append `src` as big-endian f32s: one `put_slice` per 128 floats (a
+/// whole descriptor vector) instead of one buffer growth per float.
+fn put_f32s(buf: &mut BytesMut, src: &[f32]) {
+    let mut block = [0u8; 512];
+    for chunk in src.chunks(128) {
+        let bytes = &mut block[..chunk.len() * 4];
+        for (b, v) in bytes.chunks_exact_mut(4).zip(chunk) {
+            b.copy_from_slice(&v.to_be_bytes());
+        }
+        buf.put_slice(bytes);
+    }
+}
+
+/// Fill `dst` from the big-endian f32s in `src` (`4 * dst.len()`
+/// bytes). `false` if any value is NaN or ±∞ (exponent bits all ones):
+/// nothing downstream of the wire is defined on those, and several
+/// stages would panic.
+#[must_use]
+fn get_f32s(src: &[u8], dst: &mut [f32]) -> bool {
+    const EXP: u32 = 0x7F80_0000;
+    let mut finite = true;
+    for (v, b) in dst.iter_mut().zip(src.chunks_exact(4)) {
+        let bits = u32::from_be_bytes([b[0], b[1], b[2], b[3]]);
+        finite &= bits & EXP != EXP;
+        *v = f32::from_bits(bits);
+    }
+    finite
+}
+
 pub fn encode_state(state: &FrameState) -> Bytes {
     // Exact-size preallocation: descriptors dominate (534 B each), and
     // growing a BytesMut through several hundred KB reallocates the
     // whole frame-state payload multiple times otherwise.
     let cap = 12
-        + state.descriptors.len() * (5 * 4 + 2 + 128 * 4)
+        + state.descriptors.len() * DESC_WIRE_BYTES
         + state.fisher.len() * 4
         + state.candidates.len() * 4;
     let mut buf = BytesMut::with_capacity(cap);
     buf.put_u32(state.descriptors.len() as u32);
     for d in &state.descriptors {
         let k = &d.keypoint;
-        buf.put_f32(k.x);
-        buf.put_f32(k.y);
-        buf.put_f32(k.scale);
-        buf.put_f32(k.orientation);
-        buf.put_f32(k.response);
-        buf.put_u8(k.octave as u8);
-        buf.put_u8(k.level as u8);
-        for &v in &d.v {
-            buf.put_f32(v);
-        }
+        put_f32s(&mut buf, &[k.x, k.y, k.scale, k.orientation, k.response]);
+        buf.put_slice(&[k.octave as u8, k.level as u8]);
+        put_f32s(&mut buf, &d.v);
     }
     buf.put_u32(state.fisher.len() as u32);
-    for &v in &state.fisher {
-        buf.put_f32(v);
-    }
+    put_f32s(&mut buf, &state.fisher);
     buf.put_u32(state.candidates.len() as u32);
     for &c in &state.candidates {
         buf.put_u32(c);
@@ -494,6 +520,7 @@ pub fn encode_state(state: &FrameState) -> Bytes {
 }
 
 /// Decode a frame-state payload; typed errors like [`decode_frame`].
+/// Every float must be finite ([`WireError::PayloadValue`] otherwise).
 pub fn decode_state(mut buf: Bytes) -> Result<FrameState, WireError> {
     if buf.remaining() < 4 {
         return Err(WireError::PayloadTruncated);
@@ -502,25 +529,28 @@ pub fn decode_state(mut buf: Bytes) -> Result<FrameState, WireError> {
     if n > 100_000 {
         return Err(WireError::PayloadValue);
     }
+    let mut finite = true;
     let mut descriptors = Vec::with_capacity(n);
     for _ in 0..n {
-        if buf.remaining() < 5 * 4 + 2 + 128 * 4 {
+        if buf.remaining() < DESC_WIRE_BYTES {
             return Err(WireError::PayloadTruncated);
         }
-        let keypoint = vision::Keypoint {
-            x: buf.get_f32(),
-            y: buf.get_f32(),
-            scale: buf.get_f32(),
-            orientation: buf.get_f32(),
-            response: buf.get_f32(),
-            octave: buf.get_u8() as usize,
-            level: buf.get_u8() as usize,
-        };
+        let raw = &buf.chunk()[..DESC_WIRE_BYTES];
+        let mut k = [0f32; 5];
         let mut v = [0f32; 128];
-        for slot in &mut v {
-            *slot = buf.get_f32();
-        }
+        finite &= get_f32s(&raw[..20], &mut k);
+        finite &= get_f32s(&raw[22..], &mut v);
+        let keypoint = vision::Keypoint {
+            x: k[0],
+            y: k[1],
+            scale: k[2],
+            orientation: k[3],
+            response: k[4],
+            octave: raw[20] as usize,
+            level: raw[21] as usize,
+        };
         descriptors.push(vision::Descriptor { keypoint, v });
+        buf.advance(DESC_WIRE_BYTES);
     }
     if buf.remaining() < 4 {
         return Err(WireError::PayloadTruncated);
@@ -529,7 +559,12 @@ pub fn decode_state(mut buf: Bytes) -> Result<FrameState, WireError> {
     if buf.remaining() < nf * 4 {
         return Err(WireError::PayloadTruncated);
     }
-    let fisher = (0..nf).map(|_| buf.get_f32()).collect();
+    let mut fisher = vec![0f32; nf];
+    finite &= get_f32s(&buf.chunk()[..nf * 4], &mut fisher);
+    buf.advance(nf * 4);
+    if !finite {
+        return Err(WireError::PayloadValue);
+    }
     if buf.remaining() < 4 {
         return Err(WireError::PayloadTruncated);
     }
@@ -850,6 +885,39 @@ mod tests {
         let mut huge = BytesMut::new();
         huge.put_u32(200_000);
         assert_eq!(decode_state(huge.freeze()), Err(WireError::PayloadValue));
+        // Non-finite floats anywhere in a state: keypoint, vector, Fisher.
+        let kp = vision::Keypoint {
+            x: 1.0,
+            y: 2.0,
+            scale: 3.0,
+            orientation: 0.5,
+            response: 0.9,
+            octave: 0,
+            level: 1,
+        };
+        let clean = FrameState {
+            descriptors: vec![vision::Descriptor {
+                keypoint: kp,
+                v: [0.25; 128],
+            }],
+            fisher: vec![0.5; 4],
+            candidates: vec![1],
+        };
+        assert_eq!(decode_state(encode_state(&clean)).as_ref(), Ok(&clean));
+        for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut a = clean.clone();
+            a.descriptors[0].keypoint.response = poison;
+            let mut b = clean.clone();
+            b.descriptors[0].v[127] = poison;
+            let mut c = clean.clone();
+            c.fisher[3] = poison;
+            for bad in [a, b, c] {
+                assert_eq!(
+                    decode_state(encode_state(&bad)),
+                    Err(WireError::PayloadValue)
+                );
+            }
+        }
         assert_eq!(
             decode_result(Bytes::from_static(&[])),
             Err(WireError::PayloadTruncated)

@@ -158,6 +158,12 @@ impl ReferenceDb {
         &self.detector
     }
 
+    /// Length of the Fisher vectors [`Self::encode_frame`] produces and
+    /// [`Self::lsh_candidates`] accepts.
+    pub fn fisher_dim(&self) -> usize {
+        self.lsh.dim()
+    }
+
     /// Fisher-encode a set of raw 128-d descriptors.
     pub fn encode_frame(&self, descs: &[Descriptor]) -> Vec<f64> {
         let reduced: Vec<Vec<f64>> = descs

@@ -37,32 +37,79 @@ impl Descriptor {
     }
 }
 
+/// Sample-grid spacing for a keypoint, in its octave's pixels.
+fn grid_step(kp: &Keypoint, downscale: u32) -> f32 {
+    0.75 * (kp.scale / downscale as f32).max(1.0)
+}
+
+/// Patch offset of sample `i ∈ 0..16` along either axis.
+fn patch_offset(i: usize, step: f32) -> f32 {
+    (i as f32 - 7.5) * step
+}
+
+/// The Gaussian weight of each of the 16×16 patch samples (row-major,
+/// `sy * 16 + sx`). It depends on the keypoint only through `step`.
+fn patch_weights(step: f32) -> [f32; 256] {
+    std::array::from_fn(|i| {
+        let px = patch_offset(i % 16, step);
+        let py = patch_offset(i / 16, step);
+        (-((px * px + py * py) / (2.0 * (8.0 * step) * (8.0 * step)))).exp()
+    })
+}
+
+/// `a.rem_euclid(TAU)` without the `fmodf` call. For `|a| < 2τ` — always
+/// the case for `atan2 − orientation` with both in `[-π, π]` — `a % τ` is
+/// `a` itself or one exact subtraction (Sterbenz: `τ ≤ |a| ≤ 2τ`), with
+/// the sign of `a`; anything larger takes the real remainder. The second
+/// step is `rem_euclid`'s own fix-up, which may round `r + τ` up to `τ`.
+fn rem_euclid_tau(a: f32) -> f32 {
+    use std::f32::consts::TAU;
+    let r = if a.abs() < TAU {
+        a
+    } else if a.abs() < 2.0 * TAU {
+        (a.abs() - TAU).copysign(a)
+    } else {
+        a % TAU
+    };
+    if r < 0.0 {
+        r + TAU
+    } else {
+        r
+    }
+}
+
 /// Extract the descriptor for one keypoint from the blur level it was
 /// detected at.
 pub fn describe(img: &GrayImage, kp: &Keypoint, downscale: u32) -> Descriptor {
+    describe_weighted(img, kp, downscale, &patch_weights(grid_step(kp, downscale)))
+}
+
+/// [`describe`] with the patch weights for this keypoint's `step` given.
+fn describe_weighted(
+    img: &GrayImage,
+    kp: &Keypoint,
+    downscale: u32,
+    weights: &[f32; 256],
+) -> Descriptor {
     // Keypoint coordinates in this octave's pixel grid.
     let kx = kp.x / downscale as f32;
     let ky = kp.y / downscale as f32;
-    let scale = (kp.scale / downscale as f32).max(1.0);
     let cos_t = kp.orientation.cos();
     let sin_t = kp.orientation.sin();
 
     // 16×16 sample grid over a 4×4 cell layout; spacing tied to scale.
-    let step = 0.75 * scale;
+    let step = grid_step(kp, downscale);
+    let (x_end, y_end) = ((img.width() - 2) as f32, (img.height() - 2) as f32);
     let mut hist = [0f32; DESC_DIM];
     for sy in 0..16 {
         for sx in 0..16 {
             // Patch coordinates centred on the keypoint, rotated by the
             // keypoint orientation for rotation invariance.
-            let px = (sx as f32 - 7.5) * step;
-            let py = (sy as f32 - 7.5) * step;
+            let px = patch_offset(sx, step);
+            let py = patch_offset(sy, step);
             let rx = cos_t * px - sin_t * py + kx;
             let ry = sin_t * px + cos_t * py + ky;
-            if rx < 1.0
-                || ry < 1.0
-                || rx >= (img.width() - 2) as f32
-                || ry >= (img.height() - 2) as f32
-            {
+            if rx < 1.0 || ry < 1.0 || rx >= x_end || ry >= y_end {
                 continue;
             }
             let (gx, gy) = img.gradient(rx as usize, ry as usize);
@@ -71,14 +118,12 @@ pub fn describe(img: &GrayImage, kp: &Keypoint, downscale: u32) -> Descriptor {
                 continue;
             }
             // Gradient angle relative to keypoint orientation.
-            let angle = gy.atan2(gx) - kp.orientation;
-            let angle = angle.rem_euclid(std::f32::consts::TAU);
+            let angle = rem_euclid_tau(gy.atan2(gx) - kp.orientation);
             let obin = ((angle / std::f32::consts::TAU) * 8.0) as usize % 8;
             let cell_x = sx / 4;
             let cell_y = sy / 4;
             // Gaussian weight over the patch.
-            let wgt = (-((px * px + py * py) / (2.0 * (8.0 * step) * (8.0 * step)))).exp();
-            hist[(cell_y * 4 + cell_x) * 8 + obin] += mag * wgt;
+            hist[(cell_y * 4 + cell_x) * 8 + obin] += mag * weights[sy * 16 + sx];
         }
     }
 
@@ -106,10 +151,22 @@ fn normalize(v: &mut [f32; DESC_DIM]) {
 
 /// Extract descriptors for all keypoints detected on `pyr`.
 pub fn describe_all(pyr: &Pyramid, kps: &[Keypoint]) -> Vec<Descriptor> {
+    // A pyramid's keypoints share a handful of `step`s (one per detection
+    // level: the octave's downscale cancels), so the weight tables are
+    // memoised per call, keyed by the exact bits of `step`.
+    let mut tables: Vec<(u32, [f32; 256])> = Vec::new();
     kps.iter()
         .map(|kp| {
             let oct = &pyr.octaves[kp.octave];
-            describe(&oct.levels[kp.level], kp, oct.downscale)
+            let step = grid_step(kp, oct.downscale);
+            let at = tables
+                .iter()
+                .position(|(bits, _)| *bits == step.to_bits())
+                .unwrap_or_else(|| {
+                    tables.push((step.to_bits(), patch_weights(step)));
+                    tables.len() - 1
+                });
+            describe_weighted(&oct.levels[kp.level], kp, oct.downscale, &tables[at].1)
         })
         .collect()
 }

@@ -326,27 +326,6 @@ mod tests {
     }
 
     #[test]
-    fn fast_is_cheaper_than_dog_detection() {
-        use std::time::Instant;
-        let g = SceneGenerator::workplace_scaled(1, 320, 180);
-        let img = g.frame(0);
-        let t0 = Instant::now();
-        for _ in 0..3 {
-            let _ = detect_fast(&img, 0.08, 300);
-        }
-        let fast = t0.elapsed();
-        let t1 = Instant::now();
-        for _ in 0..3 {
-            let _ = crate::keypoints::detect(&img, &crate::keypoints::DetectorParams::default());
-        }
-        let dog = t1.elapsed();
-        assert!(
-            fast < dog,
-            "FAST ({fast:?}) should be cheaper than the DoG pipeline ({dog:?})"
-        );
-    }
-
-    #[test]
     fn pattern_is_stable() {
         assert_eq!(brief_pattern(), brief_pattern());
         assert_eq!(brief_pattern().len(), 256);

@@ -99,21 +99,35 @@ impl GrayImage {
     }
 
     /// Bilinear resize to `(new_w, new_h)` — the `primary` stage's
-    /// dimension reduction.
+    /// dimension reduction. Each pixel is [`Self::sample_bilinear`] at
+    /// the centre of its source footprint; the column taps `(x0, x1, fx)`
+    /// and row taps `(y0, y1, fy)` depend on one coordinate only, so they
+    /// are computed once per column/row, by the same expressions.
     pub fn resize(&self, new_w: usize, new_h: usize) -> GrayImage {
         assert!(new_w > 0 && new_h > 0);
-        let mut out = GrayImage::new(new_w, new_h);
+        // (lo, hi, frac) of `sample_bilinear` along one axis of length
+        // `len`, at the footprint centre floored at 0 — both steps kept.
+        let taps = |i: usize, scale: f32, len: usize| {
+            let src = ((i as f32 + 0.5) * scale - 0.5).max(0.0);
+            let src = src.clamp(0.0, (len - 1) as f32);
+            let lo = src.floor() as usize;
+            (lo, (lo + 1).min(len - 1), src - lo as f32)
+        };
         let sx = self.width as f32 / new_w as f32;
         let sy = self.height as f32 / new_h as f32;
+        let cols: Vec<_> = (0..new_w).map(|x| taps(x, sx, self.width)).collect();
+        let mut data = Vec::with_capacity(new_w * new_h);
         for y in 0..new_h {
-            for x in 0..new_w {
-                // Sample at the centre of the source footprint.
-                let src_x = (x as f32 + 0.5) * sx - 0.5;
-                let src_y = (y as f32 + 0.5) * sy - 0.5;
-                out.set(x, y, self.sample_bilinear(src_x.max(0.0), src_y.max(0.0)));
-            }
+            let (y0, y1, fy) = taps(y, sy, self.height);
+            let row0 = &self.data[y0 * self.width..(y0 + 1) * self.width];
+            let row1 = &self.data[y1 * self.width..(y1 + 1) * self.width];
+            data.extend(cols.iter().map(|&(x0, x1, fx)| {
+                let top = row0[x0] * (1.0 - fx) + row0[x1] * fx;
+                let bot = row1[x0] * (1.0 - fx) + row1[x1] * fx;
+                top * (1.0 - fy) + bot * fy
+            }));
         }
-        out
+        GrayImage::from_vec(new_w, new_h, data)
     }
 
     /// Downscale by exactly 2 via 2×2 box averaging — used between
@@ -134,10 +148,18 @@ impl GrayImage {
         out
     }
 
-    /// Central-difference gradient (dx, dy) at interior pixel (x, y),
-    /// clamped borders.
+    /// Central-difference gradient (dx, dy) at pixel (x, y), clamped
+    /// borders. Interior pixels — every sample the orientation and
+    /// descriptor kernels take — read the four neighbours straight from
+    /// the slice; the clamps only ever matter on the border.
     #[inline]
     pub fn gradient(&self, x: usize, y: usize) -> (f32, f32) {
+        let w = self.width;
+        if x >= 1 && y >= 1 && x + 1 < w && y + 1 < self.height {
+            let i = y * w + x;
+            let d = &self.data;
+            return ((d[i + 1] - d[i - 1]) * 0.5, (d[i + w] - d[i - w]) * 0.5);
+        }
         let x = x as isize;
         let y = y as isize;
         let dx = (self.get_clamped(x + 1, y) - self.get_clamped(x - 1, y)) * 0.5;

@@ -44,46 +44,45 @@ impl Default for DetectorParams {
     }
 }
 
-/// Is `dogs[s]` at (x, y) a strict extremum over its 26 scale-space
-/// neighbours?
-fn is_extremum(dogs: &[GrayImage], s: usize, x: usize, y: usize) -> bool {
-    let v = dogs[s].get(x, y);
-    let mut is_max = true;
-    let mut is_min = true;
-    for img in &dogs[s - 1..=s + 1] {
-        for dy in -1isize..=1 {
-            for dx in -1isize..=1 {
-                let n = img.get_clamped(x as isize + dx, y as isize + dy);
-                // Skip self.
-                if std::ptr::eq(img, &dogs[s]) && dx == 0 && dy == 0 {
-                    continue;
-                }
-                if n >= v {
-                    is_max = false;
-                }
-                if n <= v {
-                    is_min = false;
-                }
-                if !is_max && !is_min {
-                    return false;
-                }
-            }
+/// Is `dogs[s]` at interior pixel `c = y * w + x` a strict extremum over
+/// its 26 scale-space neighbours?
+///
+/// "Strictly above all or strictly below all" does not depend on the
+/// order the neighbours are visited in, so the cheapest rejections come
+/// first: the two in-row neighbours (a smooth gradient fails there in
+/// two compares), then the rest of the plane, then the planes below and
+/// above. The caller scans `1..w-1 × 1..h-1`, so every read is in range.
+fn is_extremum(dogs: &[GrayImage], s: usize, w: usize, c: usize) -> bool {
+    let mid = dogs[s].data();
+    let v = mid[c];
+    let (mut not_max, mut not_min) = (false, false);
+    let mut survives = |neighbours: &[f32]| {
+        for &n in neighbours {
+            not_max |= n >= v;
+            not_min |= n <= v;
         }
-    }
-    is_max || is_min
+        !(not_max && not_min)
+    };
+    let row = |plane: &[f32], at: usize| -> [f32; 3] { [plane[at - 1], plane[at], plane[at + 1]] };
+    survives(&[mid[c - 1], mid[c + 1]])
+        && survives(&row(mid, c - w))
+        && survives(&row(mid, c + w))
+        && [dogs[s - 1].data(), dogs[s + 1].data()]
+            .iter()
+            .all(|plane| {
+                survives(&row(plane, c - w))
+                    && survives(&row(plane, c))
+                    && survives(&row(plane, c + w))
+            })
 }
 
-/// Reject edge-like responses via the Hessian trace/determinant test.
-fn passes_edge_test(dog: &GrayImage, x: usize, y: usize, edge_ratio: f32) -> bool {
-    let (xi, yi) = (x as isize, y as isize);
-    let v = dog.get(x, y);
-    let dxx = dog.get_clamped(xi + 1, yi) + dog.get_clamped(xi - 1, yi) - 2.0 * v;
-    let dyy = dog.get_clamped(xi, yi + 1) + dog.get_clamped(xi, yi - 1) - 2.0 * v;
-    let dxy = (dog.get_clamped(xi + 1, yi + 1)
-        - dog.get_clamped(xi - 1, yi + 1)
-        - dog.get_clamped(xi + 1, yi - 1)
-        + dog.get_clamped(xi - 1, yi - 1))
-        / 4.0;
+/// Reject edge-like responses via the Hessian trace/determinant test
+/// (interior pixel `c = y * w + x` of the row-major plane `d`).
+fn passes_edge_test(d: &[f32], w: usize, c: usize, edge_ratio: f32) -> bool {
+    let v = d[c];
+    let dxx = d[c + 1] + d[c - 1] - 2.0 * v;
+    let dyy = d[c + w] + d[c - w] - 2.0 * v;
+    let dxy = (d[c + w + 1] - d[c + w - 1] - d[c - w + 1] + d[c - w - 1]) / 4.0;
     let tr = dxx + dyy;
     let det = dxx * dyy - dxy * dxy;
     if det <= 0.0 {
@@ -93,83 +92,112 @@ fn passes_edge_test(dog: &GrayImage, x: usize, y: usize, edge_ratio: f32) -> boo
     tr * tr / det < (r + 1.0) * (r + 1.0) / r
 }
 
-/// Dominant gradient orientation from a 36-bin histogram over a
-/// Gaussian-weighted neighbourhood.
-fn dominant_orientation(img: &GrayImage, x: usize, y: usize, sigma: f32) -> f32 {
-    let radius = (2.5 * sigma).ceil().max(2.0) as isize;
-    let mut hist = [0f32; 36];
-    for dy in -radius..=radius {
-        for dx in -radius..=radius {
-            let px = x as isize + dx;
-            let py = y as isize + dy;
-            if px < 1 || py < 1 || px >= img.width() as isize - 1 || py >= img.height() as isize - 1
-            {
-                continue;
-            }
-            let (gx, gy) = img.gradient(px as usize, py as usize);
-            let mag = (gx * gx + gy * gy).sqrt();
-            let weight =
-                (-((dx * dx + dy * dy) as f32) / (2.0 * (1.5 * sigma) * (1.5 * sigma))).exp();
-            let angle = gy.atan2(gx); // [-π, π]
-            let bin =
-                (((angle + std::f32::consts::PI) / std::f32::consts::TAU * 36.0) as usize).min(35);
-            hist[bin] += mag * weight;
-        }
+/// The Gaussian window of the orientation histogram: `(2r+1)²` weights
+/// that depend only on `sigma`, which [`detect_on_pyramid`] holds fixed
+/// at `pyr.sigma0` — one table per call instead of one `exp` per sample.
+struct OrientationWindow {
+    radius: isize,
+    /// Row-major over `dy, dx ∈ -radius..=radius`.
+    weights: Vec<f32>,
+}
+
+impl OrientationWindow {
+    fn new(sigma: f32) -> Self {
+        let radius = (2.5 * sigma).ceil().max(2.0) as isize;
+        let weights = (-radius..=radius)
+            .flat_map(|dy| (-radius..=radius).map(move |dx| (dx, dy)))
+            .map(|(dx, dy)| {
+                (-((dx * dx + dy * dy) as f32) / (2.0 * (1.5 * sigma) * (1.5 * sigma))).exp()
+            })
+            .collect();
+        OrientationWindow { radius, weights }
     }
-    let best = hist
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite hist"))
-        .map(|(i, _)| i)
-        .unwrap_or(0);
-    (best as f32 + 0.5) / 36.0 * std::f32::consts::TAU - std::f32::consts::PI
+
+    /// Dominant gradient orientation at (x, y) from a 36-bin histogram
+    /// over the window, skipping samples outside the image interior.
+    fn dominant_orientation(&self, img: &GrayImage, x: usize, y: usize) -> f32 {
+        let r = self.radius;
+        let side = (2 * r + 1) as usize;
+        let (x, y) = (x as isize, y as isize);
+        let mut hist = [0f32; 36];
+        for py in (y - r).max(1)..=(y + r).min(img.height() as isize - 2) {
+            let weights = &self.weights[(py - y + r) as usize * side..][..side];
+            for px in (x - r).max(1)..=(x + r).min(img.width() as isize - 2) {
+                let (gx, gy) = img.gradient(px as usize, py as usize);
+                let mag = (gx * gx + gy * gy).sqrt();
+                let angle = gy.atan2(gx); // [-π, π]
+                let bin = (((angle + std::f32::consts::PI) / std::f32::consts::TAU * 36.0)
+                    as usize)
+                    .min(35);
+                hist[bin] += mag * weights[(px - x + r) as usize];
+            }
+        }
+        let best = hist
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite hist"))
+            .map(|(i, _)| i)
+            .unwrap_or(0);
+        (best as f32 + 0.5) / 36.0 * std::f32::consts::TAU - std::f32::consts::PI
+    }
 }
 
 /// Detect keypoints on a prebuilt pyramid.
 pub fn detect_on_pyramid(pyr: &Pyramid, params: &DetectorParams) -> Vec<Keypoint> {
-    let mut kps = Vec::new();
+    // Candidates carry their octave-grid position; orientation (the
+    // expensive part) is assigned after the cap, to the survivors only.
+    let mut found: Vec<(Keypoint, usize, usize)> = Vec::new();
     let k = 2f32.powf(1.0 / pyr.scales_per_octave as f32);
     for (oi, oct) in pyr.octaves.iter().enumerate() {
         let (w, h) = (oct.dogs[0].width(), oct.dogs[0].height());
         for s in 1..oct.dogs.len() - 1 {
+            let dog = oct.dogs[s].data();
             for y in 1..h - 1 {
                 for x in 1..w - 1 {
-                    let v = oct.dogs[s].get(x, y);
-                    if v.abs() < params.contrast_threshold {
+                    let c = y * w + x;
+                    let v = dog[c];
+                    if v.abs() < params.contrast_threshold
+                        || !is_extremum(&oct.dogs, s, w, c)
+                        || !passes_edge_test(dog, w, c, params.edge_ratio)
+                    {
                         continue;
                     }
-                    if !is_extremum(&oct.dogs, s, x, y) {
-                        continue;
-                    }
-                    if !passes_edge_test(&oct.dogs[s], x, y, params.edge_ratio) {
-                        continue;
-                    }
-                    let sigma = pyr.sigma0 * k.powi(s as i32) * oct.downscale as f32;
-                    let orientation = dominant_orientation(&oct.levels[s], x, y, pyr.sigma0);
-                    kps.push(Keypoint {
+                    let kp = Keypoint {
                         x: x as f32 * oct.downscale as f32,
                         y: y as f32 * oct.downscale as f32,
-                        scale: sigma,
-                        orientation,
+                        scale: pyr.sigma0 * k.powi(s as i32) * oct.downscale as f32,
+                        orientation: 0.0,
                         response: v.abs(),
                         octave: oi,
                         level: s,
-                    });
+                    };
+                    found.push((kp, x, y));
                 }
             }
         }
     }
     // Keep the strongest responses, deterministically tie-broken by
     // position so equal-response keypoints sort stably.
-    kps.sort_by(|a, b| {
+    found.sort_by(|(a, ..), (b, ..)| {
         b.response
             .partial_cmp(&a.response)
             .expect("finite responses")
             .then(a.y.partial_cmp(&b.y).expect("finite"))
             .then(a.x.partial_cmp(&b.x).expect("finite"))
     });
-    kps.truncate(params.max_keypoints);
-    kps
+    found.truncate(params.max_keypoints);
+    let window = OrientationWindow::new(pyr.sigma0);
+    found
+        .into_iter()
+        .map(|(kp, x, y)| Keypoint {
+            orientation: window.dominant_orientation(
+                &pyr.octaves[kp.octave].levels[kp.level],
+                x,
+                y,
+            ),
+            ..kp
+        })
+        .collect()
 }
 
 /// Detect keypoints on an image: build the standard 3-octave pyramid and

@@ -22,40 +22,52 @@ pub fn gaussian_blur(img: &GrayImage, sigma: f32) -> GrayImage {
     gaussian_blur_with(img, &gaussian_kernel(sigma))
 }
 
-/// Separable blur with a precomputed (odd-length, normalized) kernel —
-/// the memoized path [`Pyramid::build`] uses.
+/// `dst[x] += k · src[x]`: one tap of a convolution pass, applied to a
+/// whole run of output pixels at once. Every pixel of `dst` starts at
+/// `+0.0` (zeroed, never assigned from the first tap — `0.0 + (-0.0)` is
+/// `+0.0`) and receives its taps in kernel order, so per-pixel
+/// accumulation is that of the naive convolution while the loop runs
+/// over two contiguous slices and vectorises over `x`.
+#[inline]
+fn add_tap(dst: &mut [f32], kv: f32, src: &[f32]) {
+    for (slot, v) in dst.iter_mut().zip(src) {
+        *slot += kv * v;
+    }
+}
+
+/// Separable blur with a precomputed (odd-length, normalized) kernel.
 ///
-/// Both passes split interior from border work: interior pixels read the
-/// image through plain slice windows (no per-tap coordinate clamping,
-/// which dominated the original kernel's cost), borders fall back to
-/// clamped access. Per-pixel accumulation stays in tap order, so the
-/// output is bit-identical to the naive clamped convolution.
+/// Both passes loop taps outside and pixels inside ([`add_tap`]); the
+/// output is bit-identical to the naive clamped convolution. Only the
+/// `radius` border columns of the horizontal pass clamp per tap; the
+/// vertical pass clamps its row index once per tap.
 pub fn gaussian_blur_with(img: &GrayImage, k: &[f32]) -> GrayImage {
+    blur_into(img, k, &mut Vec::new())
+}
+
+/// [`gaussian_blur_with`] with a caller-owned scratch buffer for the
+/// horizontal pass, so [`Pyramid::build`] allocates it once per frame
+/// instead of once per level.
+fn blur_into(img: &GrayImage, k: &[f32], tmp: &mut Vec<f32>) -> GrayImage {
     debug_assert_eq!(k.len() % 2, 1, "kernel must have odd length");
     let radius = k.len() / 2;
     let (w, h) = (img.width(), img.height());
+    tmp.clear();
+    tmp.resize(w * h, 0.0);
 
-    // Horizontal pass: sliding slice window over each row's interior.
-    let (int_lo, int_hi) = if w > 2 * radius {
-        (radius, w - radius)
+    // Kernel wider than the row: everything is border.
+    let interior = if w > 2 * radius {
+        radius..w - radius
     } else {
-        (0, 0) // kernel wider than the row: everything is border.
+        0..0
     };
-    let mut tmp = GrayImage::new(w, h);
-    let src = img.data();
-    for y in 0..h {
-        let row = &src[y * w..(y + 1) * w];
-        let out_row = &mut tmp.data_mut()[y * w..(y + 1) * w];
-        for x in int_lo..int_hi {
-            let window = &row[x - radius..=x + radius];
-            let mut acc = 0.0;
-            for (kv, v) in k.iter().zip(window) {
-                acc += kv * v;
+    for (row, out_row) in img.data().chunks_exact(w).zip(tmp.chunks_exact_mut(w)) {
+        if !interior.is_empty() {
+            for (i, &kv) in k.iter().enumerate() {
+                add_tap(&mut out_row[interior.clone()], kv, &row[i..]);
             }
-            out_row[x] = acc;
         }
-        // Border columns, clamped per tap.
-        for x in (0..int_lo).chain(int_hi.max(int_lo)..w) {
+        for x in (0..interior.start).chain(interior.end..w) {
             let mut acc = 0.0;
             for (i, &kv) in k.iter().enumerate() {
                 let xi = (x as isize + i as isize - radius as isize).clamp(0, w as isize - 1);
@@ -65,18 +77,11 @@ pub fn gaussian_blur_with(img: &GrayImage, k: &[f32]) -> GrayImage {
         }
     }
 
-    // Vertical pass: per output row, accumulate tap rows in kernel order
-    // (row index clamped once per tap — the border case costs nothing).
     let mut out = GrayImage::new(w, h);
-    let tsrc = tmp.data();
-    for y in 0..h {
-        let out_row = &mut out.data_mut()[y * w..(y + 1) * w];
+    for (y, out_row) in out.data_mut().chunks_exact_mut(w).enumerate() {
         for (i, &kv) in k.iter().enumerate() {
             let yi = (y as isize + i as isize - radius as isize).clamp(0, h as isize - 1) as usize;
-            let tap_row = &tsrc[yi * w..(yi + 1) * w];
-            for (slot, v) in out_row.iter_mut().zip(tap_row) {
-                *slot += kv * v;
-            }
+            add_tap(out_row, kv, &tmp[yi * w..(yi + 1) * w]);
         }
     }
     out
@@ -151,7 +156,8 @@ impl Pyramid {
         // the kernels instead of re-deriving ceil(3σ)+1 exponentials per
         // level per octave.
         let mut kernels = KernelCache::default();
-        let mut base = gaussian_blur_with(img, kernels.get(sigma0));
+        let mut tmp = Vec::new();
+        let mut base = blur_into(img, kernels.get(sigma0), &mut tmp);
         let mut downscale = 1u32;
         for _ in 0..n_octaves {
             let n_levels = scales + 3;
@@ -164,18 +170,15 @@ impl Pyramid {
                 // delta in quadrature.
                 let delta = (sigma_next * sigma_next - sigma_prev * sigma_prev).sqrt();
                 let kernel = kernels.get(delta.max(1e-3));
-                let next = gaussian_blur_with(levels.last().expect("nonempty"), kernel);
+                let next = blur_into(levels.last().expect("nonempty"), kernel, &mut tmp);
                 levels.push(next);
                 sigma_prev = sigma_next;
             }
             let dogs = levels
                 .windows(2)
                 .map(|w| {
-                    let mut d = GrayImage::new(w[0].width(), w[0].height());
-                    for i in 0..d.data().len() {
-                        d.data_mut()[i] = w[1].data()[i] - w[0].data()[i];
-                    }
-                    d
+                    let diff = w[1].data().iter().zip(w[0].data()).map(|(b, a)| b - a);
+                    GrayImage::from_vec(w[0].width(), w[0].height(), diff.collect())
                 })
                 .collect();
             let next_base = levels[scales].half();

@@ -13,7 +13,12 @@
 # stage (parallel figure suite completes, parallelism is deterministic,
 # DES throughput has not regressed below the floor in BENCH_2.json,
 # and the newest committed BENCH_<n>.json has not regressed >10 %
-# events/sec or >20 % peak RSS against the previous one).
+# events/sec or >20 % peak RSS against the previous one), and a ledger
+# stage (the benchmark package in `ledger/` compiles against a frozen
+# footprint of this workspace's public API and is never edited by a PR
+# that claims a gain: a signature change there is a failed benchmark
+# run, and this is where it is found locally — its tests, then every
+# workload once at smoke length with the correctness checks on).
 # Run from anywhere; operates on the repo root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -62,5 +67,11 @@ echo "==> scale smoke: 100k-client throughput floor and peak-RSS ceiling from BE
 
 echo "==> bench diff: newest BENCH_<n>.json vs previous"
 ./target/release/perfbench --diff
+
+echo "==> ledger: the benchmark package still builds against the public API and its tests pass"
+cargo test -q --manifest-path ledger/Cargo.toml
+
+echo "==> ledger smoke: all four workloads run and pass their correctness checks"
+cargo run --release --quiet --manifest-path ledger/Cargo.toml -- run --smoke > /dev/null
 
 echo "verify: all green"

@@ -63,3 +63,97 @@ fn runtime_statistics_are_consistent() {
     assert!(report.completed as u64 <= processed[4]);
     assert!(report.success_rate() <= 1.0);
 }
+
+/// ROADMAP 4b: no panic reachable from the network. `FrameState`
+/// datagrams that decode structurally but carry values the vision stages
+/// are undefined on — a Fisher vector of the wrong length, NaN/∞ floats —
+/// used to hit an `assert`/`expect` inside `lsh` or `matching`; the
+/// service thread died and every later frame was lost. They are now
+/// rejected at the stage's typed decode and counted.
+#[test]
+fn crafted_state_datagrams_are_counted_not_fatal() {
+    use scatter::runtime::wire::{self, FrameState, WireMsg};
+    use scatter::runtime::LocalDeployment;
+    use scatter::ServiceKind;
+
+    let dep = LocalDeployment::start(RuntimeOptions {
+        frames: 30,
+        fps: 10.0,
+        seed: 7,
+        ..Default::default()
+    });
+
+    // Real descriptors of a real frame, so the poisoned ones get as far
+    // into `matching` (ratio test → RANSAC → DLT) as a genuine frame.
+    let scene = SceneGenerator::workplace_scaled(7, 256, 144);
+    let db = ReferenceDb::train(&scene, TrainParams::default(), &mut SimRng::new(7));
+    let img = scene.frame(0).resize(192, 108);
+    let (pyr, kps) = vision::keypoints::detect(&img, &Default::default());
+    let descriptors = vision::descriptor::describe_all(&pyr, &kps);
+    assert!(descriptors.len() >= 30);
+    let fisher: Vec<f32> = db
+        .encode_frame(&descriptors)
+        .iter()
+        .map(|&v| v as f32)
+        .collect();
+    assert_eq!(fisher.len(), db.fisher_dim());
+
+    let state = |mutate: &dyn Fn(&mut FrameState)| {
+        let mut s = FrameState {
+            descriptors: descriptors.clone(),
+            fisher: fisher.clone(),
+            candidates: vec![0, 1, 2],
+        };
+        mutate(&mut s);
+        s
+    };
+    let crafted = [
+        (ServiceKind::Lsh, state(&|s| s.fisher.truncate(3))),
+        (ServiceKind::Lsh, state(&|s| s.fisher.fill(f32::NAN))),
+        (
+            ServiceKind::Matching,
+            state(&|s| {
+                s.descriptors
+                    .iter_mut()
+                    .for_each(|d| d.keypoint.x = f32::NAN)
+            }),
+        ),
+        (
+            ServiceKind::Matching,
+            state(&|s| s.descriptors[0].v[5] = f32::INFINITY),
+        ),
+    ];
+    let attacker = std::net::UdpSocket::bind("127.0.0.1:0").expect("bind");
+    for (i, (step, state)) in crafted.iter().enumerate() {
+        let msg = WireMsg {
+            client: 9,
+            frame_no: i as u32,
+            step: *step,
+            emit_micros: 0,
+            return_port: attacker.local_addr().expect("addr").port(),
+            trace_id: (9u64 << 32) | i as u64,
+            flags: 0,
+            sent_micros: 0,
+            payload: wire::encode_state(state),
+        };
+        for datagram in wire::encode(&msg) {
+            attacker
+                .send_to(&datagram, dep.service_addr(*step))
+                .expect("send crafted datagram");
+        }
+    }
+    // The unpoisoned state is a valid payload: only the values differ.
+    assert!(wire::decode_state(wire::encode_state(&state(&|_| {}))).is_ok());
+
+    let report = dep.run_client();
+    dep.shutdown();
+    assert_eq!(
+        report.completed, 30,
+        "frames after the crafted datagrams must still complete"
+    );
+    assert_eq!(
+        report.malformed_datagrams,
+        crafted.len() as u64,
+        "every crafted datagram is counted as malformed"
+    );
+}
