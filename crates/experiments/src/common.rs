@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, Once, OnceLock};
 
 use orchestra::PlacementSpec;
-use scatter::config::RunConfig;
+use scatter::config::{env_knob, RunConfig};
 use scatter::{run_experiment, run_experiment_with, CostModel, Mode, RunReport};
 use simcore::SimDuration;
 
@@ -30,21 +30,14 @@ use simcore::SimDuration;
 /// value warns once on stderr and falls back to the default.
 pub fn run_secs() -> u64 {
     static WARN: Once = Once::new();
-    match std::env::var("SCATTER_EXP_SECS") {
-        Ok(s) => match s.trim().parse::<u64>() {
-            Ok(v) if v >= 1 => v,
-            _ => {
-                WARN.call_once(|| {
-                    eprintln!(
-                        "warning: invalid SCATTER_EXP_SECS={s:?} (want a positive integer); \
-                         using default 60"
-                    );
-                });
-                60
-            }
-        },
-        Err(_) => 60,
-    }
+    env_knob(
+        "SCATTER_EXP_SECS",
+        &WARN,
+        |&v| v >= 1,
+        "a positive integer",
+        "using default 60",
+    )
+    .unwrap_or(60)
 }
 
 /// Worker threads for [`run_batch`]/[`par_map`]. `SCATTER_JOBS` wins;
@@ -53,21 +46,14 @@ pub fn run_secs() -> u64 {
 /// sequential path.
 pub fn jobs() -> usize {
     static WARN: Once = Once::new();
-    match std::env::var("SCATTER_JOBS") {
-        Ok(s) => match s.trim().parse::<usize>() {
-            Ok(v) if v >= 1 => v,
-            _ => {
-                WARN.call_once(|| {
-                    eprintln!(
-                        "warning: invalid SCATTER_JOBS={s:?} (want a positive integer); \
-                         using available parallelism"
-                    );
-                });
-                default_jobs()
-            }
-        },
-        Err(_) => default_jobs(),
-    }
+    env_knob(
+        "SCATTER_JOBS",
+        &WARN,
+        |&v| v >= 1,
+        "a positive integer",
+        "using available parallelism",
+    )
+    .unwrap_or_else(default_jobs)
 }
 
 fn default_jobs() -> usize {
@@ -144,8 +130,8 @@ fn cache_enabled() -> bool {
     std::env::var("SCATTER_RUN_CACHE").map_or(true, |v| v != "0")
 }
 
-/// Drop every cached report. The benchmark harness (`--bin perfbench`)
-/// calls this between timed passes so a "cold" measurement is honest.
+/// Drop every cached report, so the next run of a config simulates
+/// again (`tests/parallel_determinism.rs` compares cold runs).
 pub fn clear_run_cache() {
     cache().lock().unwrap().clear();
 }

@@ -74,9 +74,9 @@ pub fn run_figure() -> Vec<Table> {
     );
     qos.note("paper: sticky sift state limits the benefit of balancing ([1,2,1,1,2] ≈ baseline)");
 
-    // Scale-out extension (DESIGN.md §14): the same client ladder as the
-    // perfbench scale stage, run directly (short fixed horizon, streaming
-    // metrics — the shared run cache would override the duration).
+    // Scale-out extension (DESIGN.md §14): the `scale` module's client
+    // ladder, run directly (short fixed horizon, streaming metrics — the
+    // shared run cache would override the duration).
     let mut scale = Table::new(
         "Fig 3 (scale): site-sharded scAtteR beyond the testbed's client counts",
         &[

@@ -3,7 +3,7 @@
 //! always-on self-profiler — exercised through both planes and
 //! hard-gated.
 //!
-//! **Gate A — overhead.** The perfbench scale rung (`scale_cfg`, 10k
+//! **Gate A — overhead.** The scale ladder's rung (`scale_cfg`, 10k
 //! clients in `--smoke`, 100k in full) runs observability-off and
 //! observability-on, interleaved best-of-N. The observed run carries the
 //! tail sampler, the flight recorder, *and* the profiler; its events/s
@@ -19,11 +19,10 @@
 //! match exactly. Tail sampling keeps 100 % of the anomalies while
 //! retaining a fraction of the frames.
 //!
-//! **Gate C — replay.** The same observed chaos run executes three
-//! times — twice with one event-queue shard, once with three. The
-//! flight-recorder dump JSON bytes, the tail stats, and the retained
-//! trace log must be bit-identical across all three. The dumps are also
-//! written to `results/flightrec_des_*.json` as the run's forensic
+//! **Gate C — replay.** The same observed chaos run executes twice.
+//! The flight-recorder dump JSON bytes, the tail stats, and the
+//! retained trace log must be bit-identical across both. The dumps are
+//! also written to `results/flightrec_des_*.json` as the run's forensic
 //! artifact.
 //!
 //! **Gate D — cross-plane agreement.** One scheduled fault per plane:
@@ -64,7 +63,7 @@ use crate::table::{f1, pct, Table};
 pub const OBS_SEED: u64 = 4117;
 
 /// Gate A: the full observatory may cost at most this fraction of the
-/// bare run's events/s at the 100k-client perfbench rung.
+/// bare run's events/s at the 100k-client scale rung.
 pub const MAX_OVERHEAD: f64 = 0.05;
 
 /// Gate A allowance at the down-scaled smoke rung (10k clients, ~150 ms
@@ -341,7 +340,7 @@ fn gate_retention(smoke: bool) -> RetentionPoint {
 }
 
 // ---------------------------------------------------------------------
-// Gate C — bit-identical replay across reruns and shard counts
+// Gate C — bit-identical replay across reruns
 // ---------------------------------------------------------------------
 
 pub struct ReplayPoint {
@@ -377,13 +376,12 @@ fn fingerprint(log: &TraceLog, artifacts: &scatter::ObsArtifacts) -> u64 {
 }
 
 fn gate_replay(smoke: bool) -> ReplayPoint {
-    let shard_plan: [(usize, &str); 3] = [(1, "run 1"), (1, "rerun"), (3, "3 shards")];
     let mut runs = Vec::new();
     let mut dumps = 0;
-    for (i, (shards, label)) in shard_plan.iter().enumerate() {
+    for (i, label) in ["run 1", "rerun"].into_iter().enumerate() {
         let cfg = retention_cfg(smoke)
             .with_observatory(observatory::ObservatoryConfig::default())
-            .with_scale(ScaleConfig::new(2).exact().with_shards(*shards));
+            .with_scale(ScaleConfig::new(2).exact());
         let (_, log, artifacts) = run_experiment_observed_with(cfg, calm_cost());
         if i == 0 {
             dumps = artifacts.flight_dumps.len();
@@ -396,10 +394,7 @@ fn gate_replay(smoke: bool) -> ReplayPoint {
                 Err(e) => eprintln!("observatory: cannot write DES flight dumps: {e}"),
             }
         }
-        runs.push((
-            format!("{label} (shards={shards})"),
-            fingerprint(&log, &artifacts),
-        ));
+        runs.push((label.to_string(), fingerprint(&log, &artifacts)));
     }
     ReplayPoint { runs, dumps }
 }
@@ -616,7 +611,7 @@ pub fn run_study(smoke: bool) -> ObservatoryStudy {
     );
     eprintln!("observatory: gate B (anomaly retention vs record-everything)...");
     let retention = gate_retention(smoke);
-    eprintln!("observatory: gate C (bit-identical replay, shards 1/1/3)...");
+    eprintln!("observatory: gate C (bit-identical replay)...");
     let replay = gate_replay(smoke);
     eprintln!("observatory: gate D (cross-plane anomaly agreement)...");
     let cross = gate_cross_plane(smoke);
@@ -644,7 +639,7 @@ pub fn run_study(smoke: bool) -> ObservatoryStudy {
     t.note(format!(
         "gate: full observatory costs ≤ {:.0} % events/s at this rung \
          (events per on-CPU second; the 5 % bound is defined at the \
-         100k-client perfbench rung, the smoke rung allows {:.0} %)",
+         100k-client scale rung, the smoke rung allows {:.0} %)",
         overhead.limit * 100.0,
         SMOKE_MAX_OVERHEAD * 100.0
     ));
@@ -705,7 +700,7 @@ pub fn run_study(smoke: bool) -> ObservatoryStudy {
     }
     t.note(format!(
         "gate: FNV-1a over dump JSON + tail stats + retained events identical across \
-         reruns and shard counts ({} dump(s) written to results/flightrec_des_*.json)",
+         reruns ({} dump(s) written to results/flightrec_des_*.json)",
         replay.dumps
     ));
     tables.push(t);

@@ -1,7 +1,6 @@
-//! Scale-out experiment points (DESIGN.md §14): the shared client-count
-//! ladder behind `perfbench --scale` / `--smoke-scale` and fig. 3's
-//! scale table, so the benchmark and the figure always sweep the same
-//! worlds.
+//! Scale-out experiment points (DESIGN.md §14): the client-count ladder
+//! behind fig. 3's scale table and the observatory study's overhead
+//! gate, so both always run the same worlds.
 //!
 //! Each point runs the scAtteR C12 deployment with clients spread over
 //! [`SCALE_SITES`] access sites and streaming per-client metrics, for a
@@ -19,9 +18,6 @@ use crate::common::SEED;
 /// process's `VmHWM` high-water mark read after each stage reflects
 /// that stage's own peak).
 pub const SCALE_CLIENTS: [usize; 3] = [1_000, 10_000, 100_000];
-
-/// The `--full` extension point.
-pub const SCALE_CLIENTS_FULL: usize = 1_000_000;
 
 /// Access sites the clients round-robin over.
 pub const SCALE_SITES: usize = 16;
@@ -52,7 +48,6 @@ mod tests {
     #[test]
     fn ladder_is_ascending() {
         assert!(SCALE_CLIENTS.windows(2).all(|w| w[0] < w[1]));
-        assert!(SCALE_CLIENTS[2] < SCALE_CLIENTS_FULL);
     }
 
     #[test]

@@ -39,7 +39,7 @@ use std::sync::Once;
 use std::time::Duration;
 
 use scatter::client::FRAME_PERIOD;
-use scatter::config::{placements, RunConfig, WireSimConfig};
+use scatter::config::{env_knob, placements, RunConfig, WireSimConfig};
 use scatter::runtime::deploy::{LocalDeployment, RuntimeOptions, RuntimeReport};
 use scatter::runtime::impair::{Ep, ImpairmentProfile, LinkImpairment, LinkRule};
 use scatter::runtime::services::WireRtConfig;
@@ -71,20 +71,16 @@ const LTE_MTU: usize = 1400;
 /// Parse a 0/1 boolean env knob; `None` when unset or invalid (invalid
 /// warns once on stderr — same contract as `SCATTER_EXP_SECS`).
 fn env_flag(name: &str, warn: &'static Once) -> Option<bool> {
-    let s = std::env::var(name).ok()?;
-    match s.trim() {
-        "1" | "true" | "on" => Some(true),
-        "0" | "false" | "off" => Some(false),
-        _ => {
-            warn.call_once(|| {
-                eprintln!(
-                    "warning: invalid {name}={s:?} (want 0/1 or true/false); \
-                     using the default policy"
-                );
-            });
-            None
-        }
-    }
+    let on = |s: &String| matches!(s.as_str(), "1" | "true" | "on");
+    let off = |s: &String| matches!(s.as_str(), "0" | "false" | "off");
+    env_knob(
+        name,
+        warn,
+        |s| on(s) || off(s),
+        "0/1 or true/false",
+        "using the default policy",
+    )
+    .map(|s| on(&s))
 }
 
 /// The v2 uplink policy this study runs in *both* planes, after the

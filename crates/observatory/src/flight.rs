@@ -3,7 +3,7 @@
 //! Always-on logging at 100k–1M clients is exactly the observability
 //! cost this crate exists to retire, but *post-hoc* forensics still
 //! need the moments before a failure. The [`FlightRecorder`] squares
-//! that: every shard (DES) or thread (runtime) continuously overwrites
+//! that: every site (DES) or thread (runtime) continuously overwrites
 //! a small fixed ring of structured events — crashes, kills,
 //! detections, SLO transitions, notable drops — at a cost of a few
 //! atomic stores per event, and only when an anomaly *fires* (crash,
@@ -26,10 +26,9 @@
 //!
 //! In the DES every `record`/`trigger` happens at a deterministic
 //! `(time, seq)` point, so dumps — contents, order, and JSON bytes —
-//! are bit-identical across reruns and event-queue shard counts (rings
-//! are indexed by *site*, which is shard-layout-invariant). The
-//! runtime's dumps are real concurrent snapshots and make no such
-//! promise; the cross-plane gate compares anomaly *counts*, not bytes.
+//! are bit-identical across reruns. The runtime's dumps are real
+//! concurrent snapshots and make no such promise; the cross-plane gate
+//! compares anomaly *counts*, not bytes.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;

@@ -13,8 +13,7 @@
 //!   crash-adjacent, or deterministic-reservoir survivors) are retained
 //!   when their fate is known. Memory is bounded by frames in flight,
 //!   not frames emitted; retention is a pure function of the seed and
-//!   the event stream, so retained sets are bit-identical across reruns
-//!   and event-queue shard counts.
+//!   the event stream, so retained sets are bit-identical across reruns.
 //! - [`flight`] — an **anomaly-triggered flight recorder**: fixed-size
 //!   lock-free rings of recent structured control-plane events, dumped
 //!   as deterministic JSON when a crash, a detector suspicion, or an

@@ -37,7 +37,7 @@ pub struct PhaseStat {
     pub est_total_ns: u64,
 }
 
-/// Point-in-time view of a profiler; mergeable across shards/threads.
+/// Point-in-time view of a profiler; mergeable across threads.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProfSnapshot {
     pub phases: Vec<PhaseStat>,

@@ -23,10 +23,9 @@
 //! The decision ([`decide`]) is a pure function of the config and the
 //! frame's own events — no RNG draw, no wall clock, no global counter.
 //! Retained events are appended in terminal order, and the DES fires
-//! events in the global `(time, seq)` order for *any* event-queue shard
-//! count ([`simcore::Sim::with_shards`]'s invariant), so the retained
-//! log is bit-identical across reruns and shard counts. The proptests
-//! in `tests/observatory.rs` pin this end to end.
+//! events in the global `(time, seq)` order, so the retained log is
+//! bit-identical across reruns. The proptests in
+//! `tests/observatory.rs` pin this end to end.
 //!
 //! # Memory
 //!
@@ -45,7 +44,7 @@
 //! counts emissions rather than frame lifetimes, and SLO
 //! classification uses the terminal site's emit-time hint rather than
 //! the pending map. The flip itself happens in global event order, so
-//! bit-identity across shard counts and reruns is preserved.
+//! bit-identity across reruns is preserved.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -436,8 +435,8 @@ impl TailSampler {
             self.pool.push(frame.events);
         }
         // The flip is a pure function of the settle sequence, which the
-        // DES fires in global (time, seq) order for any shard count —
-        // so when counting engages is itself bit-identical on replay.
+        // DES fires in global (time, seq) order — so when counting
+        // engages is itself bit-identical on replay.
         self.counting = self.stats.frames_retained >= self.cfg.max_retained_frames;
     }
 

@@ -1,12 +1,34 @@
 //! Experiment configuration: pipeline mode, placement, workload, network
 //! conditions — one [`RunConfig`] fully determines one experiment run.
 
+use std::str::FromStr;
+use std::sync::Once;
+
 use orchestra::PlacementSpec;
 use serde::{Deserialize, Serialize};
 use simcore::SimDuration;
 use simnet::NetemProfile;
 
 use crate::message::SERVICE_NAMES;
+
+/// Read one `SCATTER_*` override: the trimmed value of `name` parsed as
+/// `T` and accepted by `valid`. Unset reads as `None`; so does anything
+/// else, after one `warning: invalid NAME="raw" (want {want}); {fallback}`
+/// on stderr per process (`warn` is the knob's own latch).
+pub fn env_knob<T: FromStr>(
+    name: &str,
+    warn: &'static Once,
+    valid: impl FnOnce(&T) -> bool,
+    want: &str,
+    fallback: &str,
+) -> Option<T> {
+    let raw = std::env::var(name).ok()?;
+    let parsed = raw.trim().parse().ok().filter(valid);
+    if parsed.is_none() {
+        warn.call_once(|| eprintln!("warning: invalid {name}={raw:?} (want {want}); {fallback}"));
+    }
+    parsed
+}
 
 /// Which pipeline generation to run.
 ///
@@ -115,19 +137,15 @@ impl WireSimConfig {
 /// Scale-out shape of a run (see DESIGN.md §14). `None` on
 /// [`RunConfig::scale`] — the default — runs the legacy paper-sized
 /// world and is bit-identical to a pre-scale run. `Some` attaches
-/// clients to access sites, optionally shards the event queue by site,
-/// and optionally replaces the O(clients) exact per-client metric
-/// collectors with O(sites + buckets) streaming aggregates.
+/// clients to access sites and optionally replaces the O(clients)
+/// exact per-client metric collectors with O(sites + buckets) streaming
+/// aggregates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScaleConfig {
     /// Access-site nodes standing in for the single client host
     /// (clamped to ≥ 1). Clients attach round-robin; each site carries
     /// the client-host link set (Ethernet→E1, LAN→E2, Internet→cloud).
     pub sites: usize,
-    /// Event-queue shards (clamped to ≥ 1; overridable via
-    /// `SCATTER_SHARDS`). Sharding never changes results — see
-    /// [`simcore::Sim::with_shards`] — only heap sizes.
-    pub shards: usize,
     /// Streaming metrics: per-client QoS folds into histograms +
     /// counters instead of per-event vectors. Exact for counts and
     /// means; quantiles within one log-bucket width (≈2 %).
@@ -138,14 +156,8 @@ impl ScaleConfig {
     pub fn new(sites: usize) -> Self {
         ScaleConfig {
             sites,
-            shards: 1,
             streaming: true,
         }
-    }
-
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
     }
 
     /// Keep the exact per-client collectors (small-n validation runs).
@@ -203,7 +215,7 @@ pub struct RunConfig {
     /// keeps the cost model's abstract bytes and is bit-identical to a
     /// pre-wirev2 run.
     pub wire: Option<WireSimConfig>,
-    /// Scale-out shape: access sites, queue shards, streaming metrics.
+    /// Scale-out shape: access sites, streaming metrics.
     /// `None` (the default) is the legacy paper-sized world.
     pub scale: Option<ScaleConfig>,
     /// The observatory plane: tail-sampled tracing, anomaly-triggered
@@ -243,7 +255,7 @@ impl RunConfig {
         self
     }
 
-    /// Run the scale-out world shape (sites / shards / streaming).
+    /// Run the scale-out world shape (sites / streaming).
     pub fn with_scale(mut self, s: ScaleConfig) -> Self {
         self.scale = Some(s);
         self

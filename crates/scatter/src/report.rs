@@ -116,8 +116,6 @@ pub struct WireReport {
 #[derive(Debug, Clone)]
 pub struct ScaleReport {
     pub sites: usize,
-    /// Effective event-queue shard count the run executed with.
-    pub shards: usize,
     /// Completions inside the measurement window, summed over clients —
     /// exact (the numerator of the mean-FPS fallback).
     pub completed_in_window: u64,
@@ -173,7 +171,7 @@ pub struct RunReport {
     pub breakdown_queue: [Summary; 5],
     pub breakdown_network: Summary,
     /// DES events executed over the whole run — the denominator for
-    /// events/sec throughput benchmarking (`experiments --bin perfbench`).
+    /// the ledger's `des.ns_per_event` and `des.events_per_frame` rows.
     pub events_executed: u64,
     /// Resilience-plane accounting (all zeros when the plane is off).
     pub resilience: ResilienceReport,

@@ -26,6 +26,8 @@ use std::sync::Once;
 
 use simcore::SimDuration;
 
+use crate::config::env_knob;
+
 /// Failure-detection tuning (heartbeat cadence + suspicion threshold).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetectionConfig {
@@ -77,21 +79,13 @@ impl DetectionConfig {
 /// to the built-in default.
 pub fn hb_interval_ms_env() -> Option<f64> {
     static WARN: Once = Once::new();
-    match std::env::var("SCATTER_HB_INTERVAL") {
-        Ok(s) => match s.trim().parse::<f64>() {
-            Ok(v) if v > 0.0 && v.is_finite() => Some(v),
-            _ => {
-                WARN.call_once(|| {
-                    eprintln!(
-                        "warning: invalid SCATTER_HB_INTERVAL={s:?} (want positive milliseconds); \
-                         using default 50"
-                    );
-                });
-                None
-            }
-        },
-        Err(_) => None,
-    }
+    env_knob(
+        "SCATTER_HB_INTERVAL",
+        &WARN,
+        |&v: &f64| v > 0.0 && v.is_finite(),
+        "positive milliseconds",
+        "using default 50",
+    )
 }
 
 /// Suspicion-threshold override in missed intervals: `SCATTER_HB_SUSPECT`.
@@ -99,21 +93,13 @@ pub fn hb_interval_ms_env() -> Option<f64> {
 /// flap on ordinary jitter); invalid values warn once and are ignored.
 pub fn hb_suspect_env() -> Option<f64> {
     static WARN: Once = Once::new();
-    match std::env::var("SCATTER_HB_SUSPECT") {
-        Ok(s) => match s.trim().parse::<f64>() {
-            Ok(v) if v > 1.0 && v.is_finite() => Some(v),
-            _ => {
-                WARN.call_once(|| {
-                    eprintln!(
-                        "warning: invalid SCATTER_HB_SUSPECT={s:?} (want a factor > 1); \
-                         using default 3"
-                    );
-                });
-                None
-            }
-        },
-        Err(_) => None,
-    }
+    env_knob(
+        "SCATTER_HB_SUSPECT",
+        &WARN,
+        |&v: &f64| v > 1.0 && v.is_finite(),
+        "a factor > 1",
+        "using default 3",
+    )
 }
 
 /// Client-side response deadline + bounded retry with exponential

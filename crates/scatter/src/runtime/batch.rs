@@ -1,27 +1,20 @@
-//! Syscall-batched, shard-capable UDP I/O for the real runtime.
+//! Syscall-batched UDP I/O for the real runtime.
 //!
 //! One thread issuing one `recv_from` per datagram caps the data plane
 //! at a few hundred thousand packets/sec no matter how cheap the
 //! per-frame work is — the syscall boundary, not vision compute, is
 //! the ceiling once client counts grow (ROADMAP item 2). This module
-//! is the portable wrapper around the two production remedies:
-//!
-//! * **Syscall batching** — [`RecvBatch::recv`] drains up to
-//!   [`RecvBatch::capacity`] datagrams per wakeup through one
-//!   `recvmmsg(2)` call (`MSG_WAITFORONE`: block for the first
-//!   datagram under the socket's read timeout, then sweep whatever
-//!   else is queued), and [`send_many`] ships fragment runs through
-//!   one `sendmsg(2)` + `UDP_SEGMENT` (UDP GSO: the kernel re-splits
-//!   one gathered buffer at segment boundaries, paying route lookup
-//!   and socket bookkeeping once per *run* instead of once per
-//!   datagram) when the run is GSO-shaped — every datagram one fixed
-//!   size except an optional shorter tail, exactly the shape wire
-//!   fragmentation produces — and `sendmmsg(2)` otherwise.
-//! * **Socket sharding** — [`bind_reuseport`] opens N sockets on one
-//!   port via `SO_REUSEPORT`; the kernel hashes each client's 4-tuple
-//!   to a shard, so one flow stays on one socket (reassembly and
-//!   per-client state remain single-threaded) while distinct clients
-//!   fan out across worker threads.
+//! is the portable wrapper around syscall batching:
+//! [`RecvBatch::recv`] drains up to [`RecvBatch::capacity`] datagrams
+//! per wakeup through one `recvmmsg(2)` call (`MSG_WAITFORONE`: block
+//! for the first datagram under the socket's read timeout, then sweep
+//! whatever else is queued), and [`send_many`] ships fragment runs
+//! through one `sendmsg(2)` + `UDP_SEGMENT` (UDP GSO: the kernel
+//! re-splits one gathered buffer at segment boundaries, paying route
+//! lookup and socket bookkeeping once per *run* instead of once per
+//! datagram) when the run is GSO-shaped — every datagram one fixed
+//! size except an optional shorter tail, exactly the shape wire
+//! fragmentation produces — and `sendmmsg(2)` otherwise.
 //!
 //! Portability is graceful twice over: off Linux the batched entry
 //! points compile down to the single-datagram std path, and on Linux a
@@ -33,8 +26,8 @@
 //!
 //! No `libc` crate exists in this offline workspace, so the Linux path
 //! declares the tiny slice of the C ABI it needs (`recvmmsg`,
-//! `sendmmsg`, `socket`/`setsockopt`/`bind`) directly — std already
-//! links libc on every supported Linux target.
+//! `sendmmsg`, `sendmsg`) directly — std already links libc on every
+//! supported Linux target.
 
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
@@ -74,26 +67,6 @@ pub fn gso_available() -> bool {
     #[cfg(not(target_os = "linux"))]
     {
         false
-    }
-}
-
-/// Bind a UDP socket on `127.0.0.1:port` with `SO_REUSEPORT` set
-/// *before* the bind, so further sockets can join the same port (pass
-/// the first socket's real port back in for shards 1..N; pass 0 for
-/// shard 0 to let the kernel pick). `Err` on non-Linux hosts and on
-/// kernels that refuse the option — callers degrade to one socket.
-pub fn bind_reuseport(port: u16) -> io::Result<UdpSocket> {
-    #[cfg(target_os = "linux")]
-    {
-        linux::bind_reuseport(port)
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        let _ = port;
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "SO_REUSEPORT sharding requires Linux",
-        ))
     }
 }
 
@@ -214,7 +187,7 @@ mod linux {
     use std::ffi::{c_int, c_uint, c_void};
     use std::io;
     use std::net::{SocketAddr, UdpSocket};
-    use std::os::fd::{AsRawFd, FromRawFd};
+    use std::os::fd::AsRawFd;
     use std::sync::atomic::{AtomicBool, Ordering};
 
     pub static AVAILABLE: AtomicBool = AtomicBool::new(true);
@@ -265,18 +238,14 @@ mod linux {
     const EINVAL: i32 = 22;
     const ENOPROTOOPT: i32 = 92;
 
-    const SOL_SOCKET: c_int = 1;
     const SOL_UDP: c_int = 17;
     const UDP_SEGMENT: c_int = 103;
-    const SO_REUSEPORT: c_int = 15;
     /// Kernel cap on segments per GSO supersend (`UDP_MAX_SEGMENTS`).
     const GSO_MAX_SEGMENTS: usize = 64;
     /// Keep each supersend's gathered payload under the 65,507-byte
     /// maximum UDP datagram the kernel segments from.
     const GSO_MAX_BYTES: usize = 65_000;
     const AF_INET: c_int = 2;
-    const SOCK_DGRAM: c_int = 2;
-    const SOCK_CLOEXEC: c_int = 0o2000000;
     const MSG_WAITFORONE: c_int = 0x10000;
 
     #[repr(C)]
@@ -332,55 +301,6 @@ mod linux {
             timeout: *mut c_void,
         ) -> c_int;
         fn sendmmsg(fd: c_int, vec: *mut MMsgHdr, vlen: c_uint, flags: c_int) -> c_int;
-        fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
-        fn setsockopt(
-            fd: c_int,
-            level: c_int,
-            name: c_int,
-            value: *const c_void,
-            len: c_uint,
-        ) -> c_int;
-        fn bind(fd: c_int, addr: *const c_void, len: c_uint) -> c_int;
-        fn close(fd: c_int) -> c_int;
-    }
-
-    pub fn bind_reuseport(port: u16) -> io::Result<UdpSocket> {
-        unsafe {
-            let fd = socket(AF_INET, SOCK_DGRAM | SOCK_CLOEXEC, 0);
-            if fd < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            let on: c_int = 1;
-            if setsockopt(
-                fd,
-                SOL_SOCKET,
-                SO_REUSEPORT,
-                &on as *const c_int as *const c_void,
-                std::mem::size_of::<c_int>() as c_uint,
-            ) < 0
-            {
-                let e = io::Error::last_os_error();
-                close(fd);
-                return Err(e);
-            }
-            let addr = SockAddrIn {
-                family: AF_INET as u16,
-                port: port.to_be(),
-                addr: u32::from_ne_bytes([127, 0, 0, 1]),
-                zero: [0; 8],
-            };
-            if bind(
-                fd,
-                &addr as *const SockAddrIn as *const c_void,
-                std::mem::size_of::<SockAddrIn>() as c_uint,
-            ) < 0
-            {
-                let e = io::Error::last_os_error();
-                close(fd);
-                return Err(e);
-            }
-            Ok(UdpSocket::from_raw_fd(fd))
-        }
     }
 
     /// One `recvmmsg` wakeup: block for the first datagram (honouring
@@ -717,16 +637,5 @@ mod tests {
         assert_eq!(gso_run_segment(&[&a, &big]), None, "growing tail");
         assert_eq!(gso_run_segment(&[&a, &tail, &a]), None, "short middle");
         assert_eq!(gso_run_segment(&[&a, &a, &[]]), None, "empty tail");
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn reuseport_shards_share_one_port() {
-        let first = bind_reuseport(0).expect("shard 0");
-        let port = first.local_addr().expect("addr").port();
-        let second = bind_reuseport(port).expect("shard 1 joins the port");
-        assert_eq!(second.local_addr().expect("addr").port(), port);
-        // Plain bind without SO_REUSEPORT must still conflict.
-        assert!(UdpSocket::bind(("127.0.0.1", port)).is_err());
     }
 }

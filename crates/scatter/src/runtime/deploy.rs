@@ -22,7 +22,6 @@ use std::sync::atomic::AtomicU64;
 
 use crate::message::{ServiceKind, SERVICE_KINDS};
 use crate::obs::{RtClientObs, RtSvcObs};
-use crate::runtime::batch;
 use crate::runtime::impair::{Ep, ImpairedNet, ImpairmentProfile, RtSocket, SendDisposition};
 use crate::runtime::services::{
     attribute_ingest_error, attribute_net_drop, is_would_block, run_service, send_msg_wire,
@@ -78,16 +77,6 @@ pub struct RuntimeOptions {
     /// Wire dialect: v2 (CRC-sealed, optionally compressed,
     /// delta-encoded uplink) or the byte-identical v1 default.
     pub wire: WireRtConfig,
-    /// UDP ingress shards per service: N `SO_REUSEPORT` sockets sharing
-    /// one port, each drained by its own worker thread (the kernel
-    /// steers every client's 4-tuple to a fixed shard, so per-client
-    /// reassembly state stays shard-local). 1 (the default) is today's
-    /// single-socket plane, bit-compatible. Hosts that can't shard
-    /// (non-Linux, kernel refuses `SO_REUSEPORT`) degrade to 1; in
-    /// stateful mode `sift` and `matching` are pinned to 1 shard
-    /// because the fetch round-trip's 4-tuples would hash to shards
-    /// that don't hold the store / the waiting frame.
-    pub shards: usize,
     /// Drain a whole syscall batch (`recvmmsg`) per service wakeup and
     /// group consecutive pass-verdict fragments through one `sendmmsg`,
     /// instead of one datagram per syscall. `false` (the default) is
@@ -114,7 +103,6 @@ impl Default for RuntimeOptions {
             kills: Vec::new(),
             detection: None,
             wire: WireRtConfig::default(),
-            shards: 1,
             batch: false,
         }
     }
@@ -260,11 +248,6 @@ struct HbSpec {
 #[derive(Clone)]
 struct ReplicaRunner {
     kind: ServiceKind,
-    /// Which `SO_REUSEPORT` shard of the service this worker drains
-    /// (0 for the single-socket plane). Shard 0 owns the per-replica
-    /// singletons: the heartbeat thread and the legacy seed/track
-    /// derivations.
-    shard: usize,
     socket: RtSocket,
     next: SocketAddr,
     sift_addr: SocketAddr,
@@ -327,13 +310,8 @@ impl ReplicaRunner {
                 })
                 .expect("spawn heartbeat thread");
         }
-        let thread_name = if r.shard == 0 {
-            format!("scatter-{}", r.kind.name())
-        } else {
-            format!("scatter-{}-s{}", r.kind.name(), r.shard)
-        };
         std::thread::Builder::new()
-            .name(thread_name)
+            .name(format!("scatter-{}", r.kind.name()))
             .spawn(move || {
                 if r.stateful && r.kind == ServiceKind::Sift {
                     run_stateful_sift(
@@ -416,19 +394,13 @@ struct DetectionPlane {
 
 /// A running local deployment.
 pub struct LocalDeployment {
-    /// One slot row per service, one slot per shard; `None` while a
-    /// replica is down (killed and not yet respawned) or after
-    /// shutdown joined it. A kill takes every shard of the service
-    /// down together (they share one fault cell).
-    #[allow(clippy::type_complexity)]
-    handles: Mutex<Vec<Vec<Option<std::thread::JoinHandle<ExitReport>>>>>,
-    /// `[service][shard]`, parallel to `handles` and `stats`.
-    runners: Vec<Vec<ReplicaRunner>>,
+    /// One slot per service; `None` while the replica is down (killed
+    /// and not yet respawned) or after shutdown joined it.
+    handles: Mutex<Vec<Option<std::thread::JoinHandle<ExitReport>>>>,
+    /// One per service, parallel to `handles` and `stats`.
+    runners: Vec<ReplicaRunner>,
     shutdown: Arc<AtomicBool>,
-    /// Per-shard counters, merged wherever the deployment reports
-    /// (scrape, report, shutdown counts) — shards never contend on one
-    /// cache line during the run.
-    stats: Vec<Vec<Arc<SvcStats>>>,
+    stats: Vec<Arc<SvcStats>>,
     client_stats: Arc<SvcStats>,
     client_socket: RtSocket,
     primary_addr: SocketAddr,
@@ -456,32 +428,6 @@ pub struct LocalDeployment {
 
 fn bind_loopback() -> UdpSocket {
     UdpSocket::bind("127.0.0.1:0").expect("bind loopback socket")
-}
-
-/// Bind one service's shard set: `n` sockets sharing a single port via
-/// `SO_REUSEPORT` (shard 0 lets the kernel pick the port, the rest
-/// join it). Degrades to one plain socket when the host can't shard —
-/// non-Linux builds, or a kernel that refuses the option — so a
-/// sharded config still runs everywhere, just unsharded.
-fn bind_shard_set(n: usize) -> Vec<Arc<UdpSocket>> {
-    if n <= 1 {
-        return vec![Arc::new(bind_loopback())];
-    }
-    let Ok(first) = batch::bind_reuseport(0) else {
-        return vec![Arc::new(bind_loopback())];
-    };
-    let port = first.local_addr().expect("local addr").port();
-    let mut set = vec![Arc::new(first)];
-    for _ in 1..n {
-        match batch::bind_reuseport(port) {
-            Ok(s) => set.push(Arc::new(s)),
-            Err(_) => {
-                set.truncate(1);
-                return set;
-            }
-        }
-    }
-    set
 }
 
 /// Token returned by [`LocalDeployment::take_down`]: the replica is
@@ -512,23 +458,13 @@ impl LocalDeployment {
         let net = opts.impair.clone().map(ImpairedNet::new);
         let client_socket = RtSocket::new(Arc::new(bind_loopback()), Ep::Client, net.clone());
 
-        // One port per service (N `SO_REUSEPORT` shard sockets behind
-        // it); wire each to its successor, matching back to the client.
-        // Stateful mode pins sift and matching to one shard: the fetch
-        // round-trip's request/response 4-tuples would hash to shards
-        // that don't hold the store entry / the waiting frame.
+        // One socket per service; wire each to its successor, matching
+        // back to the client.
         let client_addr = client_socket.local_addr().expect("local addr");
-        let shard_sockets: Vec<Vec<Arc<UdpSocket>>> = SERVICE_KINDS
+        let sockets: Vec<UdpSocket> = SERVICE_KINDS.iter().map(|_| bind_loopback()).collect();
+        let addrs: Vec<SocketAddr> = sockets
             .iter()
-            .map(|&kind| {
-                let pinned =
-                    opts.stateful && matches!(kind, ServiceKind::Sift | ServiceKind::Matching);
-                bind_shard_set(if pinned { 1 } else { opts.shards.max(1) })
-            })
-            .collect();
-        let addrs: Vec<SocketAddr> = shard_sockets
-            .iter()
-            .map(|set| set[0].local_addr().expect("local addr"))
+            .map(|s| s.local_addr().expect("local addr"))
             .collect();
         let primary_addr = addrs[0];
         if let Some(n) = &net {
@@ -662,65 +598,42 @@ impl LocalDeployment {
         let mut stats = Vec::new();
         let mut runners = Vec::new();
         let mut handles = Vec::new();
-        for (i, socket_set) in shard_sockets.into_iter().enumerate() {
+        for (i, socket) in sockets.into_iter().enumerate() {
             let kind = SERVICE_KINDS[i];
             let next = if i + 1 < 5 { addrs[i + 1] } else { client_addr };
-            // One fault cell per service: a kill takes every shard
-            // worker down together, like crashing the whole container.
-            let fault = Arc::new(FaultCell::default());
-            let mut svc_stats = Vec::new();
-            let mut svc_runners = Vec::new();
-            let mut svc_handles = Vec::new();
-            for (shard, socket) in socket_set.into_iter().enumerate() {
-                let st = Arc::new(SvcStats::default());
-                svc_stats.push(st.clone());
-                // Shard 0 keeps the legacy seed and track-name
-                // derivations so a one-shard deployment stays
-                // bit-identical to the pre-shard plane.
-                let seed = opts.seed ^ ((i as u64 + 1) * 0x9E37) ^ ((shard as u64) << 48);
-                let track_name = if shard == 0 {
-                    format!("{}#0", kind.name())
-                } else {
-                    format!("{}#0/s{shard}", kind.name())
-                };
-                let track = collector.register_track(track_name, "runtime-host");
-                let tracer = collector.handle();
-                // Telemetry handles are acquired once here (the only
-                // lock), then every record on the service thread is
-                // wait-free. Shards share labels, hence storage: the
-                // registry merges their counts by construction.
-                let obs = opts
-                    .registry
-                    .as_ref()
-                    .map(|reg| RtSvcObs::new(reg, kind.name()));
-                let runner = ReplicaRunner {
-                    kind,
-                    shard,
-                    socket: RtSocket::new(socket, Ep::Svc(kind), net.clone())
-                        .with_batch(opts.batch),
-                    next,
-                    sift_addr,
-                    ctx: ctx.clone(),
-                    stats: st,
-                    shutdown: shutdown.clone(),
-                    fault: fault.clone(),
-                    seed,
-                    stateful: opts.stateful,
-                    sopts: opts.stateful_opts.clone(),
-                    store_size: sift_store_size.clone(),
-                    fetch_failures: fetch_failures.clone(),
-                    tracer,
-                    track,
-                    obs,
-                    // The heartbeat is per replica, not per shard.
-                    hb: if shard == 0 { hb_spec.clone() } else { None },
-                };
-                svc_handles.push(Some(runner.spawn()));
-                svc_runners.push(runner);
-            }
-            stats.push(svc_stats);
-            runners.push(svc_runners);
-            handles.push(svc_handles);
+            let st = Arc::new(SvcStats::default());
+            stats.push(st.clone());
+            let track = collector.register_track(format!("{}#0", kind.name()), "runtime-host");
+            let tracer = collector.handle();
+            // Telemetry handles are acquired once here (the only
+            // lock), then every record on the service thread is
+            // wait-free.
+            let obs = opts
+                .registry
+                .as_ref()
+                .map(|reg| RtSvcObs::new(reg, kind.name()));
+            let runner = ReplicaRunner {
+                kind,
+                socket: RtSocket::new(Arc::new(socket), Ep::Svc(kind), net.clone())
+                    .with_batch(opts.batch),
+                next,
+                sift_addr,
+                ctx: ctx.clone(),
+                stats: st,
+                shutdown: shutdown.clone(),
+                fault: Arc::new(FaultCell::default()),
+                seed: opts.seed ^ ((i as u64 + 1) * 0x9E37),
+                stateful: opts.stateful,
+                sopts: opts.stateful_opts.clone(),
+                store_size: sift_store_size.clone(),
+                fetch_failures: fetch_failures.clone(),
+                tracer,
+                track,
+                obs,
+                hb: hb_spec.clone(),
+            };
+            handles.push(Some(runner.spawn()));
+            runners.push(runner);
         }
 
         let client_tracks = (0..opts.clients)
@@ -756,7 +669,7 @@ impl LocalDeployment {
     /// The loopback address `kind` listens on — where a test (or any
     /// stray host on the network) can aim datagrams at a live service.
     pub fn service_addr(&self, kind: ServiceKind) -> SocketAddr {
-        self.runners[kind.index()][0]
+        self.runners[kind.index()]
             .socket
             .local_addr()
             .expect("local addr")
@@ -825,12 +738,9 @@ impl LocalDeployment {
     /// [`Self::bring_up`].
     pub fn take_down(&self, kind: ServiceKind) -> DownReplica {
         let idx = kind.index();
-        let shards = &self.runners[idx];
-        // One kill event per replica regardless of shard count; the
-        // shared fault cell moves every shard worker past its
-        // generation snapshot at once.
-        shards[0].stats.kills.fetch_add(1, Ordering::Relaxed);
-        shards[0].fault.generation.fetch_add(1, Ordering::Relaxed);
+        let runner = &self.runners[idx];
+        runner.stats.kills.fetch_add(1, Ordering::Relaxed);
+        runner.fault.generation.fetch_add(1, Ordering::Relaxed);
         self.flight.record(
             0,
             self.ctx.epoch.elapsed().as_nanos() as u64,
@@ -841,20 +751,15 @@ impl LocalDeployment {
         if let Some(d) = &self.detection {
             d.crash_at.lock().expect("crash_at lock")[idx] = Some(Instant::now());
         }
-        let old: Vec<_> = self.handles.lock().expect("handles lock")[idx]
-            .iter_mut()
-            .map(|slot| slot.take())
-            .collect();
+        let old = self.handles.lock().expect("handles lock")[idx].take();
+        let exit = old
+            .map(|h| h.join().expect("service thread"))
+            .unwrap_or_default();
 
         let mut seen: HashSet<(u16, u32)> = HashSet::new();
-        for (shard, slot) in old.into_iter().enumerate() {
-            let exit = slot
-                .map(|h| h.join().expect("service thread"))
-                .unwrap_or_default();
-            for key in exit.lost_frames {
-                if seen.insert((key.client, key.frame_no)) {
-                    self.attribute_crash(&shards[shard], key.client, key.frame_no, key.flags);
-                }
+        for key in exit.lost_frames {
+            if seen.insert((key.client, key.frame_no)) {
+                self.attribute_crash(runner, key.client, key.frame_no, key.flags);
             }
         }
         self.flight
@@ -870,47 +775,42 @@ impl LocalDeployment {
     pub fn bring_up(&self, down: DownReplica, recovery: Duration) {
         let DownReplica { kind, mut seen } = down;
         let idx = kind.index();
-        let shards = &self.runners[idx];
+        let runner = &self.runners[idx];
 
         // Nothing listens on a crashed container's port: drain and
-        // attribute arrivals for the whole recovery window. With
-        // `SO_REUSEPORT` the kernel steers arrivals across every shard
-        // socket, so the drain round-robins the whole set.
-        for runner in shards {
-            let _ = runner
-                .socket
-                .set_read_timeout(Some(Duration::from_millis(5)));
-        }
+        // attribute arrivals for the whole recovery window.
+        let _ = runner
+            .socket
+            .set_read_timeout(Some(Duration::from_millis(5)));
         let mut buf = vec![0u8; 65_536];
         let t_end = Instant::now() + recovery;
         while Instant::now() < t_end && !self.shutdown.load(Ordering::Relaxed) {
-            for runner in shards {
-                match runner.socket.recv_from(&mut buf) {
-                    Ok((n, _)) => {
-                        // Bilingual drain: recover the frame identity from
-                        // either wire dialect.
-                        if let Ok(decoded) = wirev2::decode_any(&buf[..n]) {
-                            let frag = match decoded {
-                                wirev2::Decoded::V1(f) => f,
-                                wirev2::Decoded::V2(f, _) => f,
-                            };
-                            if frag.flags & wire::FLAG_CTRL != 0 {
-                                continue; // fetch responses: not frame traffic
-                            }
-                            if seen.insert((frag.client, frag.frame_no)) {
-                                self.attribute_crash(
-                                    runner,
-                                    frag.client,
-                                    frag.frame_no,
-                                    frag.flags,
-                                );
-                            }
+            match runner.socket.recv_from(&mut buf) {
+                Ok((n, _)) => {
+                    // Bilingual drain: recover the frame identity from
+                    // either wire dialect.
+                    if let Ok(decoded) = wirev2::decode_any(&buf[..n]) {
+                        let frag = match decoded {
+                            wirev2::Decoded::V1(f) => f,
+                            wirev2::Decoded::V2(f, _) => f,
+                        };
+                        if frag.flags & wire::FLAG_CTRL != 0 {
+                            continue; // fetch responses: not frame traffic
                         }
-                        // Control requests / malformed datagrams die silently,
-                        // exactly like a dark port.
+                        if seen.insert((frag.client, frag.frame_no)) {
+                            self.attribute_crash(runner, frag.client, frag.frame_no, frag.flags);
+                        }
                     }
-                    Err(ref e) if is_would_block(e) => continue,
-                    Err(_) => std::thread::sleep(Duration::from_millis(1)),
+                    // Control requests / malformed datagrams die silently,
+                    // exactly like a dark port.
+                }
+                Err(ref e) if is_would_block(e) => continue,
+                Err(_) => {
+                    runner.stats.io_errors.fetch_add(1, Ordering::Relaxed);
+                    if let Some(o) = &runner.obs {
+                        o.io_errors.inc();
+                    }
+                    std::thread::sleep(Duration::from_millis(1));
                 }
             }
         }
@@ -936,10 +836,7 @@ impl LocalDeployment {
                 idx as u64,
                 0,
             );
-            let mut handles = self.handles.lock().expect("handles lock");
-            for (shard, runner) in shards.iter().enumerate() {
-                handles[idx][shard] = Some(runner.spawn());
-            }
+            self.handles.lock().expect("handles lock")[idx] = Some(runner.spawn());
         }
     }
 
@@ -1227,7 +1124,7 @@ impl LocalDeployment {
             sorted[((sorted.len() as f64 * 0.95).ceil() as usize).saturating_sub(1)]
         };
         let sum = |f: &dyn Fn(&SvcStats) -> u64| -> u64 {
-            self.stats.iter().flatten().map(|s| f(s)).sum::<u64>() + f(&self.client_stats)
+            self.stats.iter().map(|s| f(s)).sum::<u64>() + f(&self.client_stats)
         };
         RuntimeReport {
             emitted,
@@ -1235,10 +1132,7 @@ impl LocalDeployment {
             mean_e2e_ms: mean_e2e,
             max_e2e_ms: max_e2e,
             recognitions,
-            tracks_active: self.stats[4]
-                .iter()
-                .map(|s| s.tracks_active.load(Ordering::Relaxed))
-                .sum(),
+            tracks_active: self.stats[4].tracks_active.load(Ordering::Relaxed),
             per_client_completed,
             fetch_failures: self.fetch_failures.load(Ordering::Relaxed),
             sift_store_size: self.sift_store_size.load(Ordering::Relaxed),
@@ -1279,23 +1173,24 @@ impl LocalDeployment {
             p95_e2e_ms: p95_e2e,
             flight_dumps: self.flight.take_dumps(),
             prof: self.ctx.prof.snapshot(),
-            service_counts: SERVICE_KINDS
-                .iter()
-                .zip(&self.stats)
-                .map(|(&k, set)| {
-                    (
-                        k,
-                        set.iter().map(|s| s.received.load(Ordering::Relaxed)).sum(),
-                        set.iter()
-                            .map(|s| s.processed.load(Ordering::Relaxed))
-                            .sum(),
-                        set.iter()
-                            .map(|s| s.dropped_stale.load(Ordering::Relaxed))
-                            .sum(),
-                    )
-                })
-                .collect(),
+            service_counts: self.service_counts(),
         }
+    }
+
+    /// Per-service `(kind, received, processed, dropped_stale)` counters.
+    fn service_counts(&self) -> Vec<(ServiceKind, u64, u64, u64)> {
+        SERVICE_KINDS
+            .iter()
+            .zip(&self.stats)
+            .map(|(&k, s)| {
+                (
+                    k,
+                    s.received.load(Ordering::Relaxed),
+                    s.processed.load(Ordering::Relaxed),
+                    s.dropped_stale.load(Ordering::Relaxed),
+                )
+            })
+            .collect()
     }
 
     /// Stop the service threads, join them, and close the trace log
@@ -1318,32 +1213,11 @@ impl LocalDeployment {
                 let _ = h.join();
             }
         }
-        let handles: Vec<_> = self
-            .handles
-            .lock()
-            .expect("handles lock")
-            .iter_mut()
-            .flat_map(|set| set.iter_mut().map(|slot| slot.take()))
-            .collect();
+        let handles = std::mem::take(&mut *self.handles.lock().expect("handles lock"));
         for h in handles.into_iter().flatten() {
             let _ = h.join();
         }
-        let counts = SERVICE_KINDS
-            .iter()
-            .zip(&self.stats)
-            .map(|(&k, set)| {
-                (
-                    k,
-                    set.iter().map(|s| s.received.load(Ordering::Relaxed)).sum(),
-                    set.iter()
-                        .map(|s| s.processed.load(Ordering::Relaxed))
-                        .sum(),
-                    set.iter()
-                        .map(|s| s.dropped_stale.load(Ordering::Relaxed))
-                        .sum(),
-                )
-            })
-            .collect();
+        let counts = self.service_counts();
         let end_ns = self.ctx.epoch.elapsed().as_nanos() as u64;
         (self.collector.collect(end_ns), counts)
     }
@@ -1448,7 +1322,7 @@ mod telemetry_tests {
             ..Default::default()
         });
         let report = dep.run_client();
-        let stats: Vec<Vec<Arc<SvcStats>>> = dep.stats.clone();
+        let stats = dep.stats.clone();
         let live = dep.scrape().expect("registry enabled");
         telemetry::prom::parse(&live).expect("mid-run scrape parses");
         let _ = dep.shutdown(); // joins the service threads
@@ -1459,23 +1333,15 @@ mod telemetry_tests {
                 .with_replica(0)
                 .with_machine(RT_MACHINE)
                 .with_plane(RT_PLANE);
-            // Shards share one labelled counter, so the scrape is
-            // compared against the shard-merged totals.
             assert_eq!(
                 snap.counter("scatter_service_ingress_total", &labels),
-                stats[i]
-                    .iter()
-                    .map(|s| s.received.load(Ordering::Relaxed))
-                    .sum::<u64>(),
+                stats[i].received.load(Ordering::Relaxed),
                 "{} ingress drifted",
                 kind.name()
             );
             assert_eq!(
                 snap.counter("scatter_service_processed_total", &labels),
-                stats[i]
-                    .iter()
-                    .map(|s| s.processed.load(Ordering::Relaxed))
-                    .sum::<u64>(),
+                stats[i].processed.load(Ordering::Relaxed),
                 "{} processed drifted",
                 kind.name()
             );

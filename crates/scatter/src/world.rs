@@ -19,6 +19,7 @@
 //!   whole frame, nothing is retransmitted.
 
 use std::collections::HashMap;
+use std::sync::Once;
 
 use metrics::{LogHistogram, TimeSeries};
 use orchestra::{Balancer, BalancerKind, Cluster, ServiceSla};
@@ -28,7 +29,7 @@ use simnet::{NodeId, SiteMap, Testbed, UdpNet};
 
 use crate::autoscale::{MachinePool, ScaleEvent};
 use crate::client::{ClientState, FRAME_PERIOD};
-use crate::config::{Mode, RunConfig};
+use crate::config::{env_knob, Mode, RunConfig};
 use crate::costmodel::CostModel;
 use crate::gpu::GpuPool;
 use crate::message::{FrameMsg, ServiceKind, SERVICE_NAMES};
@@ -122,15 +123,11 @@ pub struct PipelineWorld {
     /// Streaming-metrics mode: per-client QoS folds into [`crate::client::StreamQos`]
     /// counters and the run-wide histogram below instead of per-event vectors.
     pub streaming: bool,
-    /// Effective event-queue shard count the run executed with (after
-    /// the `SCATTER_SHARDS` override).
-    pub shards: usize,
     /// Run-wide E2E latency histogram (`Some` iff `streaming`).
     pub scale_e2e: Option<LogHistogram>,
     // --- observatory (inert unless `cfg.observatory` is set) ---
     /// Anomaly-triggered flight recorder. Rings are keyed by *client*
-    /// (plus ring 0 for control-plane events), never by event-queue
-    /// shard, so dump contents are invariant under `SCATTER_SHARDS`.
+    /// (plus ring 0 for control-plane events).
     pub flight: Option<observatory::FlightRecorder>,
     /// Sampled self-profiler over the DES hot paths (see [`DES_PHASES`]).
     pub prof: Option<observatory::PhaseProfiler>,
@@ -157,19 +154,10 @@ impl PipelineWorld {
         }
     }
 
-    /// Event-queue shard key for a client: its site index. Every event
-    /// keyed this way lands in shard `site % shards`; the cross-shard
-    /// merge keeps execution order identical for any shard count.
-    fn client_key(&self, client: usize) -> u64 {
-        self.site_map
-            .as_ref()
-            .map_or(0, |sm| sm.site_index(client) as u64)
-    }
-
     /// Flight-recorder ring for one client's drop events. Rings `1..`
     /// are client-keyed (ring 0 carries control-plane events) — a pure
-    /// function of the event, so recording order and placement are
-    /// identical for any `SCATTER_SHARDS` layout.
+    /// function of the event, so recording order and placement replay
+    /// exactly.
     fn flight_ring(&self, client: u16) -> usize {
         self.flight
             .as_ref()
@@ -365,44 +353,18 @@ pub fn run_experiment_telemetered_observed(
     (report, tele, artifacts)
 }
 
-/// Parse the `SCATTER_SHARDS` override (a positive integer forcing the
-/// event-queue shard count, mainly for the determinism tests). Invalid
-/// values warn once per process and fall back to the config's count.
-fn env_shards() -> Option<usize> {
-    static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-    let raw = std::env::var("SCATTER_SHARDS").ok()?;
-    match raw.parse::<usize>() {
-        Ok(n) if n >= 1 => Some(n),
-        _ => {
-            WARN_ONCE.call_once(|| {
-                eprintln!(
-                    "warning: invalid SCATTER_SHARDS={raw} (want a positive integer); \
-                     using the config's shard count"
-                );
-            });
-            None
-        }
-    }
-}
-
 /// Parse the `SCATTER_OBS_SAMPLE` override: the tail sampler's reservoir
 /// rate (keep 1 in N healthy frames; anomalous frames are always kept).
 /// Invalid values warn once and fall back to the config's rate.
 fn env_obs_sample() -> Option<u64> {
-    static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-    let raw = std::env::var("SCATTER_OBS_SAMPLE").ok()?;
-    match raw.parse::<u64>() {
-        Ok(n) if n >= 1 => Some(n),
-        _ => {
-            WARN_ONCE.call_once(|| {
-                eprintln!(
-                    "warning: invalid SCATTER_OBS_SAMPLE={raw} (want a positive integer); \
-                     using the config's reservoir rate"
-                );
-            });
-            None
-        }
-    }
+    static WARN: Once = Once::new();
+    env_knob(
+        "SCATTER_OBS_SAMPLE",
+        &WARN,
+        |&n| n >= 1,
+        "a positive integer",
+        "using the config's reservoir rate",
+    )
 }
 
 /// Parse the `SCATTER_FLIGHTREC` override: per-ring flight-recorder
@@ -410,20 +372,14 @@ fn env_obs_sample() -> Option<u64> {
 /// back to the config's capacity. Shared with the runtime plane, whose
 /// always-on recorder uses the same knob over its built-in default.
 pub(crate) fn env_flightrec() -> Option<usize> {
-    static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-    let raw = std::env::var("SCATTER_FLIGHTREC").ok()?;
-    match raw.parse::<usize>() {
-        Ok(n) if n >= 1 => Some(n),
-        _ => {
-            WARN_ONCE.call_once(|| {
-                eprintln!(
-                    "warning: invalid SCATTER_FLIGHTREC={raw} (want a positive integer); \
-                     using the config's ring capacity"
-                );
-            });
-            None
-        }
-    }
+    static WARN: Once = Once::new();
+    env_knob(
+        "SCATTER_FLIGHTREC",
+        &WARN,
+        |&n| n >= 1,
+        "a positive integer",
+        "using the config's ring capacity",
+    )
 }
 
 fn run_world(
@@ -440,16 +396,9 @@ fn run_world(
     // exact same three splits as before and stays byte-identical.
     let rng_hb = cfg.resilience.detection.map(|_| root.split());
 
-    // Scale-out plane (DESIGN.md §14). Sharding draws no randomness and
-    // the cross-shard merge preserves execution order exactly, so the
-    // shard count is free to vary (or be overridden) without touching
-    // any output byte.
+    // Scale-out plane (DESIGN.md §14).
     let scale = cfg.scale;
     let streaming = scale.is_some_and(|sc| sc.streaming);
-    let shards = env_shards()
-        .or(scale.map(|sc| sc.shards))
-        .unwrap_or(1)
-        .max(1);
     // The autoscaler's signals are the ingress/drop time series, which
     // streaming metrics deliberately do not populate (DESIGN.md §14) —
     // a sited autoscale run would silently see zeros. Config error.
@@ -676,8 +625,7 @@ fn run_world(
     let flight = cfg.observatory.map(|oc| {
         let cap = env_flightrec().unwrap_or(oc.flight_cap);
         // One ring per access site (clamped) plus ring 0 for the
-        // control plane. Keyed by client/site — never by event-queue
-        // shard — so dump contents survive `SCATTER_SHARDS` changes.
+        // control plane.
         let data_rings = scale.map_or(1, |sc| sc.sites).clamp(1, 15);
         observatory::FlightRecorder::new(1 + data_rings, cap)
     });
@@ -742,25 +690,22 @@ fn run_world(
         wire,
         site_map,
         streaming,
-        shards,
         scale_e2e: streaming.then(LogHistogram::for_latency_ms),
         flight,
         prof,
         slo_seen: 0,
     };
 
-    let mut sim: SimW = Sim::with_shards(shards);
+    let mut sim: SimW = Sim::new();
     // The simulator core's own pop/exec phase timers ride the same
     // sampling shift as the world profiler.
     if let Some(oc) = world.cfg.observatory {
         sim.enable_profiling(oc.prof_shift);
     }
-    // Kick off client sources, keyed by access site so a client's whole
-    // emission chain stays in its site's shard.
+    // Kick off client sources.
     for i in 0..world.clients.len() {
         let at = world.clients[i].start_at;
-        let key = world.client_key(i);
-        sim.schedule_at_keyed(key, at, move |w, s| client_emit(w, s, i));
+        sim.schedule_at(at, move |w, s| client_emit(w, s, i));
     }
     // 1 Hz metric sampling.
     sim.schedule(SimDuration::from_secs(1), sample_metrics);
@@ -906,8 +851,7 @@ fn client_emit(w: &mut PipelineWorld, sim: &mut SimW, client: usize) {
     // concurrent clients cannot phase-lock against each other.
     let jitter = SimDuration::from_millis_f64(w.rng_misc.uniform(0.0, w.cost.emit_jitter_ms));
     let next = w.clients[client].next_emit_at() + jitter;
-    let key = w.client_key(client);
-    sim.schedule_at_keyed(key, next, move |w, s| client_emit(w, s, client));
+    sim.schedule_at(next, move |w, s| client_emit(w, s, client));
 }
 
 /// Re-emit a fresh capture after a response deadline expired. AR cannot
@@ -2361,7 +2305,6 @@ fn build_report(mut w: PipelineWorld, events_executed: u64) -> RunReport {
         }
         Some(crate::report::ScaleReport {
             sites: w.site_map.as_ref().map_or(1, |sm| sm.sites()),
-            shards: w.shards,
             completed_in_window,
             fps_per_client,
             e2e_hist: w
@@ -3044,15 +2987,10 @@ mod tests {
     }
 
     #[test]
-    fn observed_runs_are_bit_identical_across_reruns_and_shards() {
+    fn observed_runs_are_bit_identical_across_reruns() {
         use std::fmt::Write as _;
-        let fingerprint = |shards: usize| {
-            let mut cfg = observed_cfg();
-            cfg = cfg.with_scale(
-                crate::config::ScaleConfig::new(3)
-                    .exact()
-                    .with_shards(shards),
-            );
+        let fingerprint = || {
+            let cfg = observed_cfg().with_scale(crate::config::ScaleConfig::new(3).exact());
             let (_, log, art) = run_experiment_observed(cfg);
             let mut s = String::new();
             for ev in &log.events {
@@ -3065,10 +3003,6 @@ mod tests {
             writeln!(s, "{st:?}").unwrap();
             s
         };
-        let a = fingerprint(1);
-        let b = fingerprint(1);
-        assert_eq!(a, b, "rerun must be bit-identical");
-        let c = fingerprint(3);
-        assert_eq!(a, c, "shard count must not change retained bytes");
+        assert_eq!(fingerprint(), fingerprint(), "rerun must be bit-identical");
     }
 }

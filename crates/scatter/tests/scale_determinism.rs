@@ -3,24 +3,13 @@
 //! 1. a sited run with `sites = 1` and exact metrics produces a report
 //!    byte-identical to the legacy (no-scale) run — the scale plane is
 //!    opt-in down to the last bit;
-//! 2. the sharded event queue is execution-order invisible: any shard
-//!    count yields byte-identical reports, event counts, and trace
-//!    streams, including under crash/failover schedules;
-//! 3. streaming metrics agree with the exact collectors on every
+//! 2. streaming metrics agree with the exact collectors on every
 //!    aggregate they summarize (exactly for counters, within histogram
 //!    resolution for distributions).
-//!
-//! `SCATTER_SHARDS` is process-global state, and `run_experiment` reads
-//! it on every call — all tests here serialize on one mutex so the env
-//! test cannot leak its override into a concurrently-running sibling.
-
-use std::sync::Mutex;
 
 use scatter::config::{placements, RunConfig, ScaleConfig};
-use scatter::{run_experiment, run_experiment_traced, Mode, ServiceKind};
+use scatter::{run_experiment, Mode};
 use simcore::SimDuration;
-
-static ENV_SERIAL: Mutex<()> = Mutex::new(());
 
 fn base_cfg(clients: usize) -> RunConfig {
     RunConfig::new(Mode::Scatter, placements::c12(), clients)
@@ -29,8 +18,8 @@ fn base_cfg(clients: usize) -> RunConfig {
         .with_seed(99)
 }
 
-fn sited(cfg: RunConfig, sites: usize, shards: usize, streaming: bool) -> RunConfig {
-    let mut sc = ScaleConfig::new(sites).with_shards(shards);
+fn sited(cfg: RunConfig, sites: usize, streaming: bool) -> RunConfig {
+    let mut sc = ScaleConfig::new(sites);
     if !streaming {
         sc = sc.exact();
     }
@@ -39,9 +28,8 @@ fn sited(cfg: RunConfig, sites: usize, shards: usize, streaming: bool) -> RunCon
 
 #[test]
 fn one_site_exact_run_is_byte_identical_to_legacy() {
-    let _serial = ENV_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let legacy = run_experiment(base_cfg(4));
-    let sited_run = run_experiment(sited(base_cfg(4), 1, 1, false));
+    let sited_run = run_experiment(sited(base_cfg(4), 1, false));
     assert_eq!(
         format!("{legacy:?}"),
         format!("{sited_run:?}"),
@@ -51,42 +39,9 @@ fn one_site_exact_run_is_byte_identical_to_legacy() {
 }
 
 #[test]
-fn shard_count_never_changes_any_output_byte() {
-    let _serial = ENV_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    // Crash/revive churn exercises cancel + cross-shard interleaving.
-    let cfg = |shards| {
-        sited(base_cfg(6), 3, shards, true)
-            .with_trace(trace::TraceConfig::default())
-            .with_failure(SimDuration::from_millis(1200), ServiceKind::Sift, 0)
-            .with_failure(SimDuration::from_millis(1700), ServiceKind::Encoding, 0)
-    };
-    let (r1, log1) = run_experiment_traced(cfg(1));
-    for shards in [2usize, 5, 8] {
-        let (rk, logk) = run_experiment_traced(cfg(shards));
-        // The report embeds the executed shard count; mask it out — it
-        // is the ONLY field allowed to differ.
-        let strip = |r: &scatter::RunReport| {
-            let mut s = format!("{r:?}");
-            let from = format!("shards: {}", r.scale.as_ref().unwrap().shards);
-            s = s.replace(&from, "shards: X");
-            s
-        };
-        assert_eq!(rk.scale.as_ref().unwrap().shards, shards);
-        assert_eq!(strip(&r1), strip(&rk), "report diverged at {shards} shards");
-        assert_eq!(r1.events_executed, rk.events_executed);
-        assert_eq!(
-            format!("{:?}", log1.events),
-            format!("{:?}", logk.events),
-            "trace stream diverged at {shards} shards"
-        );
-    }
-}
-
-#[test]
 fn streaming_aggregates_agree_with_exact_collectors() {
-    let _serial = ENV_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let exact = run_experiment(sited(base_cfg(6), 3, 1, false));
-    let streamed = run_experiment(sited(base_cfg(6), 3, 1, true));
+    let exact = run_experiment(sited(base_cfg(6), 3, false));
+    let streamed = run_experiment(sited(base_cfg(6), 3, true));
 
     // Exact counters: success rate and window completions are integers.
     assert_eq!(exact.success_rate, streamed.success_rate);
@@ -138,55 +93,7 @@ fn streaming_aggregates_agree_with_exact_collectors() {
 #[test]
 #[should_panic(expected = "autoscale is unsupported under streaming scale metrics")]
 fn autoscale_under_streaming_metrics_is_rejected() {
-    let cfg = sited(base_cfg(2), 2, 1, true)
+    let cfg = sited(base_cfg(2), 2, true)
         .with_autoscale(scatter::autoscale::AutoscaleConfig::application_aware(0.10));
     let _ = run_experiment(cfg);
-}
-
-#[test]
-fn scatter_shards_env_overrides_config() {
-    let _serial = ENV_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    std::env::set_var("SCATTER_SHARDS", "5");
-    let r = run_experiment(sited(base_cfg(2), 2, 1, true));
-    std::env::remove_var("SCATTER_SHARDS");
-    assert_eq!(r.scale.as_ref().unwrap().shards, 5);
-    // And — per the invariant above — the report matches the un-forced
-    // run everywhere but the recorded shard count.
-    let baseline = run_experiment(sited(base_cfg(2), 2, 1, true));
-    assert_eq!(
-        format!("{r:?}").replace("shards: 5", "shards: N"),
-        format!("{baseline:?}").replace("shards: 1", "shards: N"),
-    );
-}
-
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        /// Randomized small worlds: any (clients, sites, shards, crash
-        /// schedule) combination executes identically sharded and not.
-        #[test]
-        fn sharding_invisible_over_random_worlds(
-            (clients, sites, shards, crash_sift, crash_at_ms) in
-                (1usize..10, 1usize..5, 2usize..8, proptest::bool::ANY, 600u64..2200),
-        ) {
-            let _serial = ENV_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-            let cfg = |k: usize| {
-                let kind = if crash_sift { ServiceKind::Sift } else { ServiceKind::Primary };
-                sited(base_cfg(clients), sites, k, true)
-                    .with_duration(SimDuration::from_millis(2500))
-                    .with_warmup(SimDuration::from_millis(500))
-                    .with_failure(SimDuration::from_millis(crash_at_ms), kind, 0)
-            };
-            let r1 = run_experiment(cfg(1));
-            let rk = run_experiment(cfg(shards));
-            let strip = |r: &scatter::RunReport| {
-                let from = format!("shards: {}", r.scale.as_ref().unwrap().shards);
-                format!("{r:?}").replace(&from, "shards: X")
-            };
-            prop_assert_eq!(r1.events_executed, rk.events_executed);
-            prop_assert_eq!(strip(&r1), strip(&rk));
-        }
-    }
 }

@@ -1,30 +1,11 @@
 //! The event queue and simulation driver.
 //!
-//! [`Sim`] owns one or more binary heaps of scheduled events ordered by
+//! [`Sim`] owns one binary heap of scheduled events ordered by
 //! `(time, seq)`. The sequence number makes same-instant events fire in
 //! the order they were scheduled, which is what keeps multi-client
 //! experiments deterministic: two frames arriving at a service in the
 //! same nanosecond are processed in a stable order regardless of heap
 //! internals.
-//!
-//! # Sharding
-//!
-//! [`Sim::with_shards`] partitions the queue into `k` independent heaps;
-//! [`Sim::schedule_keyed`] routes an event to shard `key % k` (the
-//! scale-out world keys client events by access site). Determinism is
-//! preserved *by construction*, not by luck:
-//!
-//! - sequence numbers are assigned from one global counter at schedule
-//!   time, independent of shard assignment;
-//! - every pop scans the shard heads in fixed index order and fires the
-//!   global `(time, seq)` minimum.
-//!
-//! The fired sequence is therefore exactly the sorted `(time, seq)`
-//! order of all live events — the same total order a single heap
-//! produces — for *any* shard count and *any* key assignment. Sharded
-//! and unsharded runs of the same seeded world are byte-identical; the
-//! win is smaller heaps (better sift depth and cache locality) once a
-//! single heap holds hundreds of thousands of in-flight client events.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
@@ -34,7 +15,7 @@ use std::time::Instant;
 use crate::time::{SimDuration, SimTime};
 
 /// Sampled self-profile of the driver's two hot phases: queue pop
-/// (cancellation reap + shard-head scan) and event execution (the
+/// (cancellation reap + head peek) and event execution (the
 /// closure body). Maintained only when [`Sim::enable_profiling`] was
 /// called; 1 in `2^shift` entries pays for a wall-clock pair, the rest
 /// cost one increment. Reading the clock never feeds back into event
@@ -124,7 +105,7 @@ impl<W> Ord for Scheduled<W> {
 pub struct Sim<W> {
     now: SimTime,
     seq: u64,
-    shards: Vec<BinaryHeap<Scheduled<W>>>,
+    heap: BinaryHeap<Scheduled<W>>,
     cancelled: SeqSet,
     executed: u64,
     stopped: bool,
@@ -139,21 +120,12 @@ impl<W> Default for Sim<W> {
 
 impl<W> Sim<W> {
     pub fn new() -> Self {
-        Self::with_shards(1)
-    }
-
-    /// A simulator whose queue is partitioned into `k` shards (clamped to
-    /// at least 1). See the module docs: the fired order is identical for
-    /// every `k`, so sharding is purely a heap-size/locality decision.
-    pub fn with_shards(k: usize) -> Self {
-        let k = k.max(1);
         Sim {
             now: SimTime::ZERO,
             seq: 0,
             // A steady-state AR pipeline run keeps a few hundred events in
-            // flight per shard; pre-reserving skips the early growth
-            // reallocations.
-            shards: (0..k).map(|_| BinaryHeap::with_capacity(1024)).collect(),
+            // flight; pre-reserving skips the early growth reallocations.
+            heap: BinaryHeap::with_capacity(1024),
             cancelled: SeqSet::default(),
             executed: 0,
             stopped: false,
@@ -204,11 +176,6 @@ impl<W> Sim<W> {
         }
     }
 
-    /// Number of queue shards (≥ 1).
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Current virtual time. Monotone across event executions.
     pub fn now(&self) -> SimTime {
         self.now
@@ -222,7 +189,7 @@ impl<W> Sim<W> {
 
     /// Number of events still pending (including cancelled-but-unreaped).
     pub fn pending(&self) -> usize {
-        self.shards.iter().map(|h| h.len()).sum()
+        self.heap.len()
     }
 
     /// Schedule `f` to run after `delay`. Returns an [`EventId`] that can
@@ -241,28 +208,10 @@ impl<W> Sim<W> {
     where
         F: FnOnce(&mut W, &mut Sim<W>) + 'static,
     {
-        self.schedule_at_keyed(0, at, f)
-    }
-
-    /// [`Sim::schedule`] routed to shard `key % shards`.
-    pub fn schedule_keyed<F>(&mut self, key: u64, delay: SimDuration, f: F) -> EventId
-    where
-        F: FnOnce(&mut W, &mut Sim<W>) + 'static,
-    {
-        self.schedule_at_keyed(key, self.now + delay, f)
-    }
-
-    /// [`Sim::schedule_at`] routed to shard `key % shards`. The key only
-    /// selects a heap; it never affects execution order.
-    pub fn schedule_at_keyed<F>(&mut self, key: u64, at: SimTime, f: F) -> EventId
-    where
-        F: FnOnce(&mut W, &mut Sim<W>) + 'static,
-    {
         let at = at.max(self.now);
         let seq = self.seq;
         self.seq += 1;
-        let shard = (key % self.shards.len() as u64) as usize;
-        self.shards[shard].push(Scheduled {
+        self.heap.push(Scheduled {
             at,
             seq,
             run: Box::new(f),
@@ -286,48 +235,43 @@ impl<W> Sim<W> {
     /// Execute the single earliest pending event. Returns `false` when the
     /// queue is empty.
     pub fn step(&mut self, world: &mut W) -> bool {
+        self.step_until(world, SimTime::MAX)
+    }
+
+    /// [`Sim::step`], unless the earliest live event fires strictly after
+    /// `deadline`. `peek_time` reaps cancelled heads, so the head it
+    /// reports is known live and is popped and fired directly.
+    #[inline]
+    fn step_until(&mut self, world: &mut W, deadline: SimTime) -> bool {
         let t_pop = self.prof_enter(false);
-        let next = self.next_live_shard();
+        let next = self.peek_time();
         self.prof_exit(false, t_pop);
-        let Some(shard) = next else {
+        if next.is_none_or(|at| at > deadline) {
             return false;
-        };
-        let ev = self.shards[shard].pop().expect("live head vanished");
+        }
+        let ev = self.heap.pop().expect("live head vanished");
         let t_exec = self.prof_enter(true);
         self.fire(ev, world);
         self.prof_exit(true, t_exec);
         true
     }
 
-    /// Reap cancelled heads on every shard, then return the shard whose
-    /// head is the global `(time, seq)` minimum — scanning shards in fixed
-    /// index order so the choice is deterministic. After this returns
-    /// `Some(i)`, shard `i`'s head is known live and may be popped and
-    /// fired directly.
-    fn next_live_shard(&mut self) -> Option<usize> {
-        let mut best: Option<(SimTime, u64, usize)> = None;
-        for i in 0..self.shards.len() {
-            // Fast path: no outstanding cancellations (the common case in
-            // scAtteR++ runs, which cancel only on served fetches) means no
-            // set lookup per pop at all.
-            if !self.cancelled.is_empty() {
-                while let Some(head) = self.shards[i].peek() {
-                    if self.cancelled.remove(&head.seq) {
-                        self.shards[i].pop();
-                    } else {
-                        break;
-                    }
-                }
-            }
-            if let Some(head) = self.shards[i].peek() {
-                // Seqs are globally unique, so (at, seq) is a strict total
-                // order and `<` picks exactly one winner.
-                if best.is_none_or(|(at, seq, _)| (head.at, head.seq) < (at, seq)) {
-                    best = Some((head.at, head.seq, i));
+    /// Instant of the earliest live pending event, if any. Reaps
+    /// cancelled heads on the way.
+    pub fn peek_time(&mut self) -> Option<SimTime> {
+        // Fast path: no outstanding cancellations (the common case in
+        // scAtteR++ runs, which cancel only on served fetches) means no
+        // set lookup per pop at all.
+        if !self.cancelled.is_empty() {
+            while let Some(head) = self.heap.peek() {
+                if self.cancelled.remove(&head.seq) {
+                    self.heap.pop();
+                } else {
+                    break;
                 }
             }
         }
-        best.map(|(_, _, i)| i)
+        self.heap.peek().map(|head| head.at)
     }
 
     /// Advance the clock to `ev` and run it. Caller guarantees `ev` is
@@ -352,35 +296,10 @@ impl<W> Sim<W> {
     /// fixed-length experiment run (e.g. the paper's five minutes) ends.
     pub fn run_until(&mut self, world: &mut W, deadline: SimTime) {
         self.stopped = false;
-        while !self.stopped {
-            // `next_live_shard` reaps cancelled heads, so after it returns
-            // the chosen head is known live and can be popped and fired
-            // directly — the old peek-then-step double inspection paid the
-            // cancellation check twice per event.
-            let t_pop = self.prof_enter(false);
-            let next = self.next_live_shard();
-            self.prof_exit(false, t_pop);
-            match next {
-                Some(shard)
-                    if self.shards[shard].peek().expect("live head vanished").at <= deadline =>
-                {
-                    let ev = self.shards[shard].pop().expect("live head vanished");
-                    let t_exec = self.prof_enter(true);
-                    self.fire(ev, world);
-                    self.prof_exit(true, t_exec);
-                }
-                _ => break,
-            }
-        }
+        while !self.stopped && self.step_until(world, deadline) {}
         if !self.stopped && self.now < deadline {
             self.now = deadline;
         }
-    }
-
-    /// Instant of the earliest live pending event, if any.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.next_live_shard()
-            .map(|shard| self.shards[shard].peek().expect("live head vanished").at)
     }
 }
 
@@ -520,63 +439,18 @@ mod tests {
     #[test]
     fn profiling_does_not_change_execution() {
         let run = |prof: bool| {
-            let mut sim: Sim<Vec<u64>> = Sim::with_shards(3);
+            let mut sim: Sim<Vec<u64>> = Sim::new();
             if prof {
                 sim.enable_profiling(2);
             }
             for i in 0..50u64 {
-                sim.schedule_keyed(i, SimDuration::from_millis(i % 7), move |w, _| w.push(i));
+                sim.schedule(SimDuration::from_millis(i % 7), move |w, _| w.push(i));
             }
             let mut out = Vec::new();
             sim.run(&mut out);
             (out, sim.executed(), sim.now())
         };
         assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn zero_shards_clamps_to_one() {
-        let sim: Sim<u32> = Sim::with_shards(0);
-        assert_eq!(sim.shards(), 1);
-    }
-
-    #[test]
-    fn keyed_events_interleave_across_shards_in_global_order() {
-        let mut sim: Sim<Vec<(u64, u64)>> = Sim::with_shards(3);
-        // Same instant, keys striped over shards: FIFO by global seq must
-        // hold even though each entry sits in a different heap.
-        for key in 0..9u64 {
-            sim.schedule_keyed(key, SimDuration::from_millis(5), move |w, _| {
-                w.push((5, key));
-            });
-        }
-        sim.schedule_keyed(7, SimDuration::from_millis(1), |w, s| {
-            w.push((s.now().as_millis(), 7));
-        });
-        let mut out = Vec::new();
-        sim.run(&mut out);
-        let expected: Vec<(u64, u64)> = std::iter::once((1, 7))
-            .chain((0..9).map(|k| (5, k)))
-            .collect();
-        assert_eq!(out, expected);
-    }
-
-    #[test]
-    fn cancel_works_across_shards() {
-        let mut sim: Sim<Vec<u64>> = Sim::with_shards(4);
-        let id = sim.schedule_keyed(3, SimDuration::from_millis(1), |w: &mut Vec<u64>, _| {
-            w.push(1)
-        });
-        sim.schedule_keyed(2, SimDuration::from_millis(2), |w: &mut Vec<u64>, _| {
-            w.push(2)
-        });
-        sim.cancel(id);
-        assert_eq!(sim.pending(), 2);
-        assert_eq!(sim.peek_time(), Some(SimTime::from_millis(2)));
-        let mut out = Vec::new();
-        sim.run(&mut out);
-        assert_eq!(out, vec![2]);
-        assert_eq!(sim.executed(), 1);
     }
 }
 
@@ -658,42 +532,6 @@ mod proptests {
             sim.run(&mut rest);
             prop_assert!(rest.iter().all(|&t| t > deadline));
             prop_assert_eq!(first.len() + rest.len(), delays.len());
-        }
-
-        /// The fired order is independent of shard count and key
-        /// assignment: any `(shards, keys)` produces exactly the single-heap
-        /// execution trace. This is the determinism foundation the
-        /// scale-out world builds on.
-        #[test]
-        fn sharding_never_changes_execution_order(
-            delays in proptest::collection::vec(0u64..50, 1..150),
-            keys in proptest::collection::vec(0u64..97, 150),
-            shards in 1usize..8,
-            cancel_mask in proptest::collection::vec(proptest::bool::ANY, 150),
-        ) {
-            let run = |k: usize| {
-                let mut sim: Sim<Vec<(u64, usize)>> = Sim::with_shards(k);
-                let mut ids = Vec::new();
-                for (i, &d) in delays.iter().enumerate() {
-                    let id = sim.schedule_keyed(
-                        if k == 1 { 0 } else { keys[i] },
-                        SimDuration::from_millis(d),
-                        move |w: &mut Vec<(u64, usize)>, s| w.push((s.now().as_millis(), i)),
-                    );
-                    ids.push(id);
-                }
-                for (i, &id) in ids.iter().enumerate() {
-                    if cancel_mask[i] {
-                        sim.cancel(id);
-                    }
-                }
-                let mut log = Vec::new();
-                sim.run(&mut log);
-                (log, sim.executed(), sim.now())
-            };
-            let single = run(1);
-            let sharded = run(shards);
-            prop_assert_eq!(single, sharded);
         }
     }
 }

@@ -1,10 +1,9 @@
 //! The client → access-site overlay for scale-out worlds.
 //!
 //! At paper scale every client shares one network vantage point (the
-//! `client-host` node). At 100k–1M clients that single node is neither
-//! realistic nor useful for sharding, but making every client a
-//! topology *node* would reintroduce the O(n²) state this refactor
-//! removes. [`SiteMap`] is the compact middle ground: clients are not
+//! `client-host` node). At 100k–1M clients that single node is not
+//! realistic, but making every client a topology *node* would
+//! reintroduce the O(n²) state this refactor removes. [`SiteMap`] is the compact middle ground: clients are not
 //! nodes — each one carries a `u32` site index into a short list of
 //! access-site nodes (built by
 //! [`crate::Testbed::build_with_sites`]), so per-client routing state
@@ -56,7 +55,7 @@ impl SiteMap {
         self.site_nodes.len()
     }
 
-    /// Site index of a client (also the event-queue shard key).
+    /// Site index of a client.
     #[inline]
     pub fn site_index(&self, client: usize) -> u32 {
         self.of_client[client]

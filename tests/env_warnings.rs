@@ -83,46 +83,6 @@ fn invalid_heartbeat_env_warns_and_falls_back_to_defaults() {
     );
 }
 
-/// Same contract for the scale plane's `SCATTER_SHARDS` override
-/// (DESIGN.md §14): garbage warns once on stderr, the run keeps the
-/// config's shard count (sharding is output-invisible either way), and
-/// stdout stays one machine-parsable JSON document.
-#[test]
-fn invalid_shards_env_warns_and_keeps_config_shard_count() {
-    let _serial = SPAWN.lock().unwrap_or_else(|e| e.into_inner());
-    let out = Command::new(env!("CARGO_BIN_EXE_telemetry"))
-        .args(["--smoke", "--json"])
-        .env("SCATTER_EXP_SECS", "6")
-        .env("SCATTER_SHARDS", "many") // invalid: must warn, not die
-        .output()
-        .expect("spawn telemetry bin");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        out.status.success(),
-        "telemetry --smoke --json failed under invalid SCATTER_SHARDS: {:?}\nstderr: {stderr}",
-        out.status
-    );
-
-    let stdout = String::from_utf8(out.stdout).expect("stdout is UTF-8");
-    let v = trace::json::Value::parse(stdout.trim())
-        .expect("stdout must parse as JSON — no warnings may leak into it");
-    assert!(
-        v.idx(0).and_then(|t| t.get("title")).is_some(),
-        "expected a non-empty array of tables"
-    );
-
-    assert!(
-        stderr.contains("warning: invalid SCATTER_SHARDS"),
-        "stderr missing the SCATTER_SHARDS warning: {stderr}"
-    );
-    // Warn-once: the run simulates many points, the warning fires once.
-    assert_eq!(
-        stderr.matches("warning: invalid SCATTER_SHARDS").count(),
-        1,
-        "SCATTER_SHARDS warning must fire exactly once: {stderr}"
-    );
-}
-
 /// Same contract for the observatory knobs: garbage in
 /// `SCATTER_OBS_SAMPLE` (tail reservoir rate) / `SCATTER_FLIGHTREC`
 /// (flight-recorder ring capacity) warns exactly once on stderr even

@@ -1,7 +1,7 @@
 //! Property tests for the observatory: retention decisions and
 //! flight-recorder dump contents are *pure functions* of the seed and
-//! the event stream `(time, seq)` — never of wall clock, shard layout,
-//! or replay count. These are the properties the `--bin observatory`
+//! the event stream `(time, seq)` — never of wall clock or replay
+//! count. These are the properties the `--bin observatory`
 //! replay gate rests on, checked here against adversarial inputs
 //! including randomized crash schedules.
 
@@ -172,7 +172,7 @@ proptest! {
 }
 
 /// One observed DES run under a randomized crash schedule, fingerprinted.
-fn observed_run(seed: u64, kill_ds: u64, recovery_ds: u64, shards: usize) -> String {
+fn observed_run(seed: u64, kill_ds: u64, recovery_ds: u64) -> String {
     let cfg = RunConfig::new(Mode::ScatterPP, placements::c2(), 2)
         .with_duration(SimDuration::from_secs(5))
         .with_warmup(SimDuration::from_secs(1))
@@ -183,7 +183,7 @@ fn observed_run(seed: u64, kill_ds: u64, recovery_ds: u64, shards: usize) -> Str
             0,
         )
         .with_recovery(SimDuration::from_millis(500 + recovery_ds * 100))
-        .with_scale(ScaleConfig::new(2).exact().with_shards(shards))
+        .with_scale(ScaleConfig::new(2).exact())
         .with_observatory(observatory::ObservatoryConfig::default());
     let (_, log, artifacts) = run_experiment_observed(cfg);
     let mut fp = String::new();
@@ -204,18 +204,16 @@ proptest! {
 
     /// End to end: a DES run with a randomized crash schedule retains
     /// the same traces and freezes byte-identical flight dumps across
-    /// a rerun AND across event-queue shard counts.
+    /// a rerun.
     #[test]
-    fn observed_des_runs_replay_across_shards(
+    fn observed_des_runs_replay_bit_identically(
         seed in 1u64..10_000,
         kill_ds in 0u64..20,
         recovery_ds in 0u64..10,
     ) {
-        let a = observed_run(seed, kill_ds, recovery_ds, 1);
-        let b = observed_run(seed, kill_ds, recovery_ds, 1);
-        let c = observed_run(seed, kill_ds, recovery_ds, 3);
+        let a = observed_run(seed, kill_ds, recovery_ds);
+        let b = observed_run(seed, kill_ds, recovery_ds);
         prop_assert_eq!(&a, &b, "rerun diverged");
-        prop_assert_eq!(&a, &c, "shard count leaked into the observatory");
         prop_assert!(a.contains("\"reason\":\"crash\""), "no crash dump frozen");
     }
 }
