@@ -13,7 +13,8 @@
 //! re-plots fig. 2/3/4 points for jitter, headline re-runs the edge
 //! grid, ...). Since reports are pure functions of the config, the
 //! cache returns a clone instead of re-simulating. Disable with
-//! `SCATTER_RUN_CACHE=0` (e.g. when timing raw simulation throughput).
+//! `SCATTER_RUN_CACHE=0` (e.g. when timing raw simulation throughput);
+//! the variable is read once per process.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -126,8 +127,21 @@ fn cache() -> &'static Mutex<HashMap<String, RunReport>> {
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
+/// `SCATTER_RUN_CACHE`, read once per process: `0` turns the cache off,
+/// `1` (the default) keeps it on; anything else warns once on stderr and
+/// keeps it on.
 fn cache_enabled() -> bool {
-    std::env::var("SCATTER_RUN_CACHE").map_or(true, |v| v != "0")
+    static ENABLED: OnceLock<bool> = OnceLock::new();
+    static WARN: Once = Once::new();
+    *ENABLED.get_or_init(|| {
+        env_knob(
+            "SCATTER_RUN_CACHE",
+            &WARN,
+            |&v: &u8| v <= 1,
+            "0 or 1",
+            "keeping the run cache on",
+        ) != Some(0)
+    })
 }
 
 /// Drop every cached report, so the next run of a config simulates

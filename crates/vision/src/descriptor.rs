@@ -78,6 +78,32 @@ fn rem_euclid_tau(a: f32) -> f32 {
     }
 }
 
+/// How close to an octant edge, in radians, [`octant_bin`] leaves the
+/// call to the exact expression: 57× the two paths' combined error
+/// (DESIGN.md §17, "Angle bins").
+const EDGE_MARGIN: f32 = 1e-4;
+
+/// The descriptor's bin of `gy.atan2(gx) − orientation`, read off the
+/// gradient rotated into the keypoint's frame, `(u, v)`: the quadrant
+/// from the signs of `u` and `v`, the half of it from `|u|` against `|v|`.
+/// `None` within [`EDGE_MARGIN`] of an edge (zero, NaN and ∞ gradients
+/// included), for gradients below 1e-30, and for an orientation outside
+/// `[-π, π]`, where only the exact expression can tell.
+#[inline]
+fn octant_bin(gx: f32, gy: f32, orientation: f32, cos_t: f32, sin_t: f32) -> Option<usize> {
+    let u = gx * cos_t + gy * sin_t;
+    let v = gy * cos_t - gx * sin_t;
+    let (au, av) = (u.abs(), v.abs());
+    let sum = au + av;
+    let edge_gap = au.min(av).min((au - av).abs());
+    if !(orientation.abs() <= std::f32::consts::PI && sum > 1e-30 && edge_gap > EDGE_MARGIN * sum) {
+        return None;
+    }
+    // Quadrants 1 and 3 (u < 0 < v, v < 0 < u) start on the v axis.
+    let (below, odd_quadrant) = (v < 0.0, (u < 0.0) != (v < 0.0));
+    Some(4 * below as usize + 2 * odd_quadrant as usize + ((av > au) != odd_quadrant) as usize)
+}
+
 /// Extract the descriptor for one keypoint from the blur level it was
 /// detected at.
 pub fn describe(img: &GrayImage, kp: &Keypoint, downscale: u32) -> Descriptor {
@@ -118,8 +144,10 @@ fn describe_weighted(
                 continue;
             }
             // Gradient angle relative to keypoint orientation.
-            let angle = rem_euclid_tau(gy.atan2(gx) - kp.orientation);
-            let obin = ((angle / std::f32::consts::TAU) * 8.0) as usize % 8;
+            let obin = octant_bin(gx, gy, kp.orientation, cos_t, sin_t).unwrap_or_else(|| {
+                let angle = rem_euclid_tau(gy.atan2(gx) - kp.orientation);
+                ((angle / std::f32::consts::TAU) * 8.0) as usize % 8
+            });
             let cell_x = sx / 4;
             let cell_y = sy / 4;
             // Gaussian weight over the patch.
@@ -174,8 +202,11 @@ pub fn describe_all(pyr: &Pyramid, kps: &[Keypoint]) -> Vec<Descriptor> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::keypoints::sweep::{gradient, service_camera_loop, ulps, RANDOM, SCALES};
     use crate::keypoints::{detect, DetectorParams};
     use crate::scene::SceneGenerator;
+    use simcore::SimRng;
+    use std::f32::consts::{FRAC_PI_2, PI, TAU};
 
     fn scene_descriptors(frame: u32) -> Vec<Descriptor> {
         let g = SceneGenerator::workplace_scaled(1, 320, 180);
@@ -240,5 +271,168 @@ mod tests {
     #[test]
     fn deterministic_extraction() {
         assert_eq!(scene_descriptors(2), scene_descriptors(2));
+    }
+
+    /// `describe`'s bin as `sift_golden`'s oracle writes it.
+    fn exact_bin(gx: f32, gy: f32, orientation: f32) -> usize {
+        let angle = (gy.atan2(gx) - orientation).rem_euclid(TAU);
+        ((angle / TAU) * 8.0) as usize % 8
+    }
+
+    /// Asserts that a bin [`octant_bin`] decides is the exact one; returns
+    /// whether it deferred to the exact expression instead.
+    fn defers(gx: f32, gy: f32, orientation: f32) -> bool {
+        let (cos_t, sin_t) = (orientation.cos(), orientation.sin());
+        match octant_bin(gx, gy, orientation, cos_t, sin_t) {
+            Some(bin) => {
+                let want = exact_bin(gx, gy, orientation);
+                assert_eq!(
+                    bin, want,
+                    "gradient ({gx:e}, {gy:e}), orientation {orientation:e}"
+                );
+                false
+            }
+            None => true,
+        }
+    }
+
+    /// Orientations at and just past the ends of `[-π, π]`, and far outside.
+    fn special_orientations() -> [f32; 12] {
+        [
+            PI,
+            -PI,
+            ulps(PI, -1),
+            ulps(-PI, 1),
+            ulps(PI, 1),
+            ulps(-PI, -1),
+            0.0,
+            -0.0,
+            -4.0,
+            TAU,
+            1e9,
+            f32::NAN,
+        ]
+    }
+
+    #[test]
+    fn octant_bins_equal_the_exact_bins_on_random_triples() {
+        let mut rng = SimRng::new(0x0C7A_2F02);
+        let specials = special_orientations();
+        let (mut polar, mut deferred) = (0usize, 0usize);
+        for i in 0..RANDOM {
+            let (gx, gy) = gradient(&mut rng, i % 2 == 1);
+            let orientation = if i % 16 == 0 {
+                specials[rng.index(specials.len())]
+            } else {
+                rng.uniform(-std::f64::consts::PI, std::f64::consts::PI) as f32
+            };
+            let d = defers(gx, gy, orientation);
+            if i % 2 == 1 && i % 16 != 0 {
+                polar += 1;
+                deferred += d as usize;
+            }
+        }
+        // 16 · 1e-4 rad of every τ lies inside the margin.
+        assert!(deferred * 1000 < polar, "{deferred} of {polar} deferred");
+    }
+
+    #[test]
+    fn octant_bins_equal_the_exact_bins_around_every_edge() {
+        use std::f64::consts::FRAC_PI_4;
+        let orientations = [0.0, -0.0, PI, -PI, 1.0, -2.5, FRAC_PI_2, -FRAC_PI_2, 0.785];
+        for orientation in orientations {
+            for edge in 0..8 {
+                let theta = orientation as f64 + edge as f64 * FRAC_PI_4;
+                // ±4 ulp around the edge itself, then at offsets (in rad)
+                // just outside the margin, where `octant_bin` decides, and
+                // mid-bin.
+                for offset in [0.0, 1.05e-4, -1.05e-4, 1.5e-4, -1.5e-4, 0.39, -0.39] {
+                    let at = theta + offset;
+                    let (c, s) = (at.cos() as f32, at.sin() as f32);
+                    for scale in SCALES {
+                        for (i, j) in (-4..=4).flat_map(|i| (-4..=4).map(move |j| (i, j))) {
+                            let (gx, gy) = (ulps(c, i) * scale, ulps(s, j) * scale);
+                            let deferred = defers(gx, gy, orientation);
+                            if (1e-20..1e30).contains(&scale) {
+                                let must_defer = offset == 0.0;
+                                let must_decide = f64::abs(offset) >= 1.5e-4;
+                                assert!(
+                                    !(must_defer && !deferred || must_decide && deferred),
+                                    "orientation {orientation} edge {edge} offset {offset}: \
+                                     ({gx:e}, {gy:e})"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn octant_bins_equal_the_exact_bins_on_special_values() {
+        let values = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            0.1,
+            -3.5,
+            1e-40,
+            -1e-45,
+            f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        for orientation in special_orientations() {
+            let in_range = orientation.abs() <= PI;
+            for &gx in &values {
+                // `gx = ±gy` and every pair of special components.
+                for gy in values.iter().copied().chain([gx, -gx]) {
+                    let deferred = defers(gx, gy, orientation);
+                    let finite = gx.is_finite() && gy.is_finite();
+                    if !in_range || !finite || (gx == 0.0 && gy == 0.0) {
+                        assert!(deferred, "({gx:e}, {gy:e}), orientation {orientation:e}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn octant_bin_rarely_defers_on_the_camera_loop() {
+        let (mut samples, mut deferred) = (0usize, 0usize);
+        for (pyr, kps) in service_camera_loop() {
+            for kp in &kps {
+                // The sample walk of `describe_weighted`.
+                let oct = &pyr.octaves[kp.octave];
+                let img = &oct.levels[kp.level];
+                let (kx, ky) = (kp.x / oct.downscale as f32, kp.y / oct.downscale as f32);
+                let (cos_t, sin_t) = (kp.orientation.cos(), kp.orientation.sin());
+                let step = grid_step(kp, oct.downscale);
+                let (x_end, y_end) = ((img.width() - 2) as f32, (img.height() - 2) as f32);
+                for (sx, sy) in (0..16).flat_map(|sy| (0..16).map(move |sx| (sx, sy))) {
+                    let (px, py) = (patch_offset(sx, step), patch_offset(sy, step));
+                    let rx = cos_t * px - sin_t * py + kx;
+                    let ry = sin_t * px + cos_t * py + ky;
+                    if rx < 1.0 || ry < 1.0 || rx >= x_end || ry >= y_end {
+                        continue;
+                    }
+                    let (gx, gy) = img.gradient(rx as usize, ry as usize);
+                    if (gx * gx + gy * gy).sqrt() == 0.0 {
+                        continue;
+                    }
+                    samples += 1;
+                    deferred += defers(gx, gy, kp.orientation) as usize;
+                }
+            }
+        }
+        assert!(samples > 200_000, "only {samples} samples");
+        assert!(
+            deferred * 100 <= samples,
+            "{deferred} of {samples} descriptor samples took the exact path"
+        );
     }
 }

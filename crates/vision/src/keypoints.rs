@@ -92,6 +92,45 @@ fn passes_edge_test(d: &[f32], w: usize, c: usize, edge_ratio: f32) -> bool {
     tr * tr / det < (r + 1.0) * (r + 1.0) / r
 }
 
+/// `atan(z)` for `z ∈ [0, 1]` in orientation bins (10°), as
+/// `z · Σ ATAN_BINS[k] · z²ᵏ`: the odd degree-13 minimax polynomial,
+/// within 1.5e-6 bins of the real value.
+const ATAN_BINS: [f32; 7] = [
+    5.7295556,
+    -1.9089446,
+    1.1349043,
+    -0.75821465,
+    0.45621005,
+    -0.19253801,
+    0.0390287,
+];
+
+/// How close to a bin edge, in bins, [`estimated_bin`] leaves the call to
+/// the exact expression: 69× the estimate's and the exact expression's
+/// combined error (DESIGN.md §17, "Angle bins").
+const BIN_MARGIN: f32 = 1e-3;
+
+/// The orientation histogram's bin of `gy.atan2(gx)`, decided from an
+/// estimate of `t = (angle + π) / τ · 36`: fold the gradient into the
+/// first octant, evaluate [`ATAN_BINS`], unfold by whole-bin offsets
+/// (9, 18), which are exact. `None` when `t` lies within [`BIN_MARGIN`]
+/// of an integer — that includes every gradient with a ±0, NaN or ∞
+/// component — where only the exact expression can tell.
+#[inline]
+fn estimated_bin(gx: f32, gy: f32) -> Option<usize> {
+    let (ax, ay) = (gx.abs(), gy.abs());
+    let steep = ay > ax;
+    let z = if steep { ax / ay } else { ay / ax };
+    let z2 = z * z;
+    let p = z * ATAN_BINS.iter().rev().fold(0.0, |acc, &c| acc * z2 + c);
+    let a = if steep { 9.0 - p } else { p };
+    let a = if gx < 0.0 { 18.0 - a } else { a };
+    let t = 18.0 + a.copysign(gy);
+    let bin = t as usize;
+    let frac = t - bin as f32;
+    (frac > BIN_MARGIN && frac < 1.0 - BIN_MARGIN).then_some(bin.min(35))
+}
+
 /// The Gaussian window of the orientation histogram: `(2r+1)²` weights
 /// that depend only on `sigma`, which [`detect_on_pyramid`] holds fixed
 /// at `pyr.sigma0` — one table per call instead of one `exp` per sample.
@@ -125,10 +164,11 @@ impl OrientationWindow {
             for px in (x - r).max(1)..=(x + r).min(img.width() as isize - 2) {
                 let (gx, gy) = img.gradient(px as usize, py as usize);
                 let mag = (gx * gx + gy * gy).sqrt();
-                let angle = gy.atan2(gx); // [-π, π]
-                let bin = (((angle + std::f32::consts::PI) / std::f32::consts::TAU * 36.0)
-                    as usize)
-                    .min(35);
+                let bin = estimated_bin(gx, gy).unwrap_or_else(|| {
+                    let angle = gy.atan2(gx); // [-π, π]
+                    (((angle + std::f32::consts::PI) / std::f32::consts::TAU * 36.0) as usize)
+                        .min(35)
+                });
                 hist[bin] += mag * weights[(px - x + r) as usize];
             }
         }
@@ -208,10 +248,207 @@ pub fn detect(img: &GrayImage, params: &DetectorParams) -> (Pyramid, Vec<Keypoin
     (pyr, kps)
 }
 
+/// Inputs shared by the angle-bin equivalence sweeps here and in
+/// `descriptor` (DESIGN.md §17, "Angle bins").
+#[cfg(test)]
+pub(crate) mod sweep {
+    use super::{detect, DetectorParams, Keypoint};
+    use crate::codec::{decode, encode, Quality};
+    use crate::pyramid::Pyramid;
+    use crate::scene::SceneGenerator;
+    use crate::GrayImage;
+    use simcore::SimRng;
+    use std::f64::consts::PI;
+
+    /// Random gradients per sweep: the full 10⁷ in release builds
+    /// (`cargo test --release -p vision`), fewer in debug ones.
+    pub const RANDOM: usize = if cfg!(debug_assertions) {
+        400_000
+    } else {
+        10_000_000
+    };
+
+    /// Scales for the edge sweeps: exact, inexact, subnormal, overflowing.
+    pub const SCALES: [f32; 9] = [
+        1.0,
+        0.25,
+        1e3,
+        1e-20,
+        1e-30,
+        f32::MIN_POSITIVE,
+        1e-40,
+        1e-45,
+        f32::MAX,
+    ];
+
+    fn log_uniform(rng: &mut SimRng) -> f64 {
+        10f64.powf(rng.uniform(-30.0, 3.0))
+    }
+
+    /// A random gradient of log-uniform magnitude(s) in `[1e-30, 1e3]`:
+    /// a uniform angle if `polar`, else two components of independent
+    /// sign and magnitude (which mostly lie near an axis).
+    pub fn gradient(rng: &mut SimRng, polar: bool) -> (f32, f32) {
+        if polar {
+            let (m, a) = (log_uniform(rng), rng.uniform(-PI, PI));
+            return ((m * a.cos()) as f32, (m * a.sin()) as f32);
+        }
+        let mut signed = || log_uniform(rng) as f32 * if rng.bernoulli(0.5) { -1.0 } else { 1.0 };
+        (signed(), signed())
+    }
+
+    /// `x` moved by `k` units in the last place, across zero too.
+    pub fn ulps(x: f32, k: i32) -> f32 {
+        let ordered = |b: i32| if b < 0 { i32::MIN.wrapping_sub(b) } else { b };
+        f32::from_bits(ordered(ordered(x.to_bits() as i32) + k) as u32)
+    }
+
+    /// The `sift` service's detections over the seed-7 camera loop:
+    /// 256×144 frames through the uplink codec, `primary`'s 0.75 resize
+    /// (192×108) and the wire's u8 quantisation, under the runtime's
+    /// 200-descriptor cap. Every 10th frame in debug builds.
+    pub fn service_camera_loop() -> impl Iterator<Item = (Pyramid, Vec<Keypoint>)> {
+        let scene = SceneGenerator::workplace_scaled(7, 256, 144);
+        let params = DetectorParams {
+            max_keypoints: 200,
+            ..Default::default()
+        };
+        let step = if cfg!(debug_assertions) { 10 } else { 1 };
+        (0..300).step_by(step).map(move |f| {
+            let frame = decode(encode(&scene.frame(f), Quality(85))).expect("codec round trip");
+            let quantised = frame
+                .resize(192, 108)
+                .data()
+                .iter()
+                .map(|&v| ((v.clamp(0.0, 1.0) * 255.0) as u8) as f32 / 255.0)
+                .collect();
+            detect(&GrayImage::from_vec(192, 108, quantised), &params)
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::sweep::{gradient, service_camera_loop, ulps, RANDOM, SCALES};
     use super::*;
     use crate::scene::SceneGenerator;
+    use simcore::SimRng;
+    use std::f64::consts::{PI, TAU};
+
+    /// `dominant_orientation`'s bin as it stood before [`estimated_bin`].
+    fn exact_bin(gx: f32, gy: f32) -> usize {
+        let angle = gy.atan2(gx); // [-π, π]
+        (((angle + std::f32::consts::PI) / std::f32::consts::TAU * 36.0) as usize).min(35)
+    }
+
+    /// Asserts that a bin the estimate decides is the exact one; returns
+    /// whether it deferred to the exact expression instead.
+    fn defers(gx: f32, gy: f32) -> bool {
+        match estimated_bin(gx, gy) {
+            Some(bin) => {
+                assert_eq!(bin, exact_bin(gx, gy), "gradient ({gx:e}, {gy:e})");
+                false
+            }
+            None => true,
+        }
+    }
+
+    #[test]
+    fn estimated_bins_equal_the_exact_bins_on_random_gradients() {
+        let mut rng = SimRng::new(0x0A7A_2F01);
+        let mut deferred = [0usize; 2];
+        for i in 0..RANDOM {
+            let polar = i % 2 == 1;
+            let (gx, gy) = gradient(&mut rng, polar);
+            deferred[polar as usize] += defers(gx, gy) as usize;
+        }
+        // At a uniform angle, 2·1e-3 of a bin lies inside the margin.
+        assert!(deferred[1] * 200 < RANDOM, "{deferred:?} of {RANDOM}");
+    }
+
+    #[test]
+    fn estimated_bins_equal_the_exact_bins_around_every_edge() {
+        for edge in 0..=36 {
+            let theta = -PI + edge as f64 * TAU / 36.0;
+            // ±4 ulp around the edge itself, then at offsets (in bins) just
+            // outside the margin, where the estimate decides, and mid-bin.
+            for offset in [0.0, 1.01e-3, -1.01e-3, 1.5e-3, -1.5e-3, 0.5, -0.5] {
+                let at = theta + offset * TAU / 36.0;
+                let (c, s) = (at.cos() as f32, at.sin() as f32);
+                for scale in SCALES {
+                    for (i, j) in (-4..=4).flat_map(|i| (-4..=4).map(move |j| (i, j))) {
+                        let (gx, gy) = (ulps(c, i) * scale, ulps(s, j) * scale);
+                        let deferred = defers(gx, gy);
+                        if (1e-30..1e30).contains(&scale) {
+                            let must_defer = offset == 0.0;
+                            let must_decide = f64::abs(offset) >= 1.5e-3;
+                            assert!(
+                                !(must_defer && !deferred || must_decide && deferred),
+                                "edge {edge} offset {offset}: ({gx:e}, {gy:e})"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn estimated_bins_equal_the_exact_bins_on_special_values() {
+        let values = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            0.1,
+            -3.5,
+            1e-40,
+            -1e-45,
+            f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        for &gx in &values {
+            for &gy in &values {
+                let deferred = defers(gx, gy);
+                if gx == 0.0 || gy == 0.0 || !(gx.is_finite() && gy.is_finite()) {
+                    assert!(deferred, "({gx:e}, {gy:e}) decided");
+                }
+            }
+            // The diagonals: gx = ±gy, 45° off the nearest edge.
+            for sign in [1.0, -1.0] {
+                assert!(!defers(gx, sign * gx) || gx == 0.0 || !gx.is_finite());
+            }
+        }
+    }
+
+    #[test]
+    fn estimate_rarely_defers_on_the_camera_loop() {
+        let (mut samples, mut deferred) = (0usize, 0usize);
+        for (pyr, kps) in service_camera_loop() {
+            let r = OrientationWindow::new(pyr.sigma0).radius;
+            for kp in &kps {
+                let oct = &pyr.octaves[kp.octave];
+                let img = &oct.levels[kp.level];
+                let x = (kp.x / oct.downscale as f32) as isize;
+                let y = (kp.y / oct.downscale as f32) as isize;
+                for py in (y - r).max(1)..=(y + r).min(img.height() as isize - 2) {
+                    for px in (x - r).max(1)..=(x + r).min(img.width() as isize - 2) {
+                        let (gx, gy) = img.gradient(px as usize, py as usize);
+                        samples += 1;
+                        deferred += defers(gx, gy) as usize;
+                    }
+                }
+            }
+        }
+        assert!(samples > 100_000, "only {samples} samples");
+        assert!(
+            deferred * 100 <= samples,
+            "{deferred} of {samples} orientation samples took the exact path"
+        );
+    }
 
     fn blob_image() -> GrayImage {
         // A bright Gaussian blob on black: a canonical DoG detection.

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full local verification gate. Every stage exits non-zero on failure:
 #   fmt, clippy -D warnings, release build, tests
+#   vision:       optimised, the SIFT golden oracle and the full 10^7 angle-bin sweeps
 #   figure suite: `all` completes in parallel; parallel == sequential
 #   telemetry:    the live metrics plane reconciles with the post-hoc report
 #   chaos:        DES and real-UDP runtime agree exactly on crash-attributed drops
@@ -24,6 +25,9 @@ cargo build --release
 
 echo "==> cargo test"
 cargo test -q
+
+echo "==> vision, optimised: SIFT golden oracle and the full angle-bin sweeps"
+cargo test -q --release -p vision
 
 echo "==> perf smoke: parallel figure suite completes"
 SCATTER_EXP_SECS=2 SCATTER_JOBS=2 ./target/release/all > /dev/null

@@ -121,6 +121,35 @@ fn invalid_observatory_env_warns_once_and_falls_back() {
     }
 }
 
+/// Same contract for the run cache: `SCATTER_RUN_CACHE` accepts `0` or
+/// `1` silently; garbage warns exactly once on stderr however many runs
+/// consult the cache, keeps the cache on, and leaves stdout — the
+/// figure — exactly what a valid value prints.
+#[test]
+fn invalid_run_cache_env_warns_once_and_keeps_the_cache_on() {
+    let _serial = SPAWN.lock().unwrap_or_else(|e| e.into_inner());
+    let fig4 = |cache: &str| {
+        let out = Command::new(env!("CARGO_BIN_EXE_fig4"))
+            .env("SCATTER_EXP_SECS", "6")
+            .env("SCATTER_RUN_CACHE", cache)
+            .output()
+            .expect("spawn fig4 bin");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "fig4 failed: {stderr}");
+        (
+            out.stdout,
+            stderr.matches("warning: invalid SCATTER_RUN_CACHE").count(),
+        )
+    };
+    let (off, off_warnings) = fig4("0");
+    let (on, on_warnings) = fig4("1");
+    let (garbage, garbage_warnings) = fig4("off");
+    assert_eq!((off_warnings, on_warnings, garbage_warnings), (0, 0, 1));
+    assert!(!on.is_empty());
+    assert_eq!(garbage, on, "stdout must be the figure alone");
+    assert_eq!(off, on, "the cache never changes a figure");
+}
+
 /// Same contract for the wire-policy knobs: garbage in
 /// `SCATTER_WIRE_DELTA` / `SCATTER_WIRE_COMPRESS` warns once on
 /// stderr, the study falls back to the default policy (both on), and

@@ -6,20 +6,22 @@
 //! number — see DESIGN.md §9.
 //!
 //! Env-var note: the knobs are process-global, so every test in this
-//! binary serializes on one lock.
+//! binary serializes on one lock. `SCATTER_RUN_CACHE` is read once per
+//! process, so the uncached reference calls `run_experiment` directly.
 
 use std::sync::Mutex;
 
-use experiments::common::{clear_run_cache, run_many};
+use experiments::common::{clear_run_cache, run_many, std_cfg};
 use proptest::prelude::*;
-use scatter::Mode;
+use scatter::config::RunConfig;
+use scatter::{run_experiment, Mode};
 
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
-fn set_env(jobs: usize, cache: bool) {
+/// Set the run length and worker count; start from an empty run cache.
+fn set_env(jobs: usize) {
     std::env::set_var("SCATTER_EXP_SECS", "6");
     std::env::set_var("SCATTER_JOBS", jobs.to_string());
-    std::env::set_var("SCATTER_RUN_CACHE", if cache { "1" } else { "0" });
     clear_run_cache();
 }
 
@@ -55,10 +57,14 @@ proptest! {
             .collect();
         points.push(points[0].clone());
 
-        set_env(1, false);
-        let seq: Vec<String> = run_many(&points).iter().map(|r| format!("{r:?}")).collect();
+        set_env(1);
+        let seq: Vec<String> = points
+            .iter()
+            .map(|(m, p, c)| run_experiment(std_cfg(RunConfig::new(*m, p.clone(), *c))))
+            .map(|r| format!("{r:?}"))
+            .collect();
 
-        set_env(jobs, true);
+        set_env(jobs);
         let par: Vec<String> = run_many(&points).iter().map(|r| format!("{r:?}")).collect();
 
         prop_assert_eq!(&seq, &par, "jobs={} must not change reports", jobs);
@@ -74,14 +80,14 @@ proptest! {
 fn figure_json_is_jobs_invariant() {
     let _guard = ENV_LOCK.lock().unwrap();
 
-    set_env(1, false);
+    set_env(1);
     let seq: Vec<String> = experiments::fig4_cloud::run_figure()
         .iter()
         .map(|t| t.render_json())
         .collect();
 
     for jobs in [2, 4] {
-        set_env(jobs, true);
+        set_env(jobs);
         let par: Vec<String> = experiments::fig4_cloud::run_figure()
             .iter()
             .map(|t| t.render_json())
