@@ -8,7 +8,7 @@
 //! in flight, and the keep/discard choice is made at the frame's
 //! *terminal*, when its fate is known:
 //!
-//! - **dropped** frames are always retained (any [`DropReason`]);
+//! - **dropped** frames are always retained (any [`trace::DropReason`]);
 //! - **SLO-violating** completions (end-to-end above `slo_ms`) are
 //!   always retained;
 //! - **crash-adjacent** frames — terminal within `crash_window_ns`

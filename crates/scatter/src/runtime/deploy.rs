@@ -15,7 +15,6 @@ use orchestra::{FailureDetector, InstanceId};
 
 use simcore::SimRng;
 use vision::db::TrainParams;
-use vision::scene::SceneGenerator;
 use vision::ReferenceDb;
 
 use std::sync::atomic::AtomicU64;
@@ -405,7 +404,6 @@ pub struct LocalDeployment {
     client_socket: RtSocket,
     primary_addr: SocketAddr,
     ctx: Arc<SharedCtx>,
-    scene: SceneGenerator,
     opts: RuntimeOptions,
     fetch_failures: Arc<AtomicU64>,
     sift_store_size: Arc<AtomicU64>,
@@ -448,9 +446,8 @@ impl DownReplica {
 impl LocalDeployment {
     /// Train the recognition database and launch the five services.
     pub fn start(opts: RuntimeOptions) -> LocalDeployment {
-        // Client 0's scene, via the shared derivation the DES predictor
-        // uses (cid 0 reduces to the plain seed) — what anchors the
-        // cross-plane bytes-on-wire gate to identical payloads.
+        // The database learns the objects of client 0's scene (cid 0
+        // reduces to the plain seed).
         let scene = predict::client_scene(opts.seed, 0, opts.width, opts.height);
         let mut rng = SimRng::new(opts.seed);
         let db = ReferenceDb::train(&scene, TrainParams::default(), &mut rng);
@@ -651,7 +648,6 @@ impl LocalDeployment {
             client_socket,
             primary_addr,
             ctx,
-            scene,
             opts,
             fetch_failures,
             sift_store_size,
@@ -872,14 +868,14 @@ impl LocalDeployment {
         );
     }
 
-    /// One client's stream: emit paced frames from `scene`, collect
-    /// completions. Runs on the calling thread.
+    /// One client's stream: emit paced frames from its `recording`,
+    /// collect completions. Runs on the calling thread.
     #[allow(clippy::too_many_arguments)]
     fn client_loop(
         client_id: u16,
         socket: &RtSocket,
         primary_addr: SocketAddr,
-        scene: &SceneGenerator,
+        recording: &predict::Recording,
         ctx: &SharedCtx,
         opts: &RuntimeOptions,
         client_stats: &SvcStats,
@@ -891,6 +887,7 @@ impl LocalDeployment {
             .set_read_timeout(Some(Duration::from_millis(5)))
             .expect("set_read_timeout");
         let period = Duration::from_secs_f64(1.0 / opts.fps);
+        let return_port = socket.local_addr().expect("local addr").port();
         let mut reassembler = Reassembler::new();
         let mut rx = RxState::new();
         // v2 uplink shaping: the delta/keyframe state machine. Acked by
@@ -907,10 +904,9 @@ impl LocalDeployment {
         let mut emitted = 0u32;
         while emitted < opts.frames || Instant::now() < drain_until {
             if emitted < opts.frames && Instant::now() >= next_emit {
-                // Encode the camera frame for the uplink (the paper's
-                // clients stream compressed video; primary decodes).
-                let img = scene.frame(emitted);
-                let compressed = vision::codec::encode(&img, vision::codec::Quality(85));
+                // The paper's clients stream a pre-recorded, compressed
+                // video; primary decodes.
+                let compressed = recording.frame(emitted);
                 // v2: run the delta/keyframe decision; v1 ships the full
                 // DCT stream every frame.
                 let (kind, base, payload) = match &mut uplink {
@@ -925,7 +921,7 @@ impl LocalDeployment {
                     frame_no: emitted,
                     step: ServiceKind::Primary,
                     emit_micros,
-                    return_port: socket.local_addr().expect("local addr").port(),
+                    return_port,
                     trace_id: tctx.trace_id,
                     flags: if tctx.sampled { wire::FLAG_SAMPLED } else { 0 },
                     sent_micros: emit_micros,
@@ -1046,6 +1042,9 @@ impl LocalDeployment {
 
     fn run_client_inner(&self) -> RuntimeReport {
         let opts = &self.opts;
+        // Each client replays its own camera (distinct seed), the same
+        // recording the DES predictor sizes its uplink from.
+        let camera = |cid| predict::Recording::of(opts.seed, cid, opts.width, opts.height, 85);
         // Results are returned to the socket the frame was sent from,
         // but routing goes through the service chain; every client needs
         // its own return socket. Client 0 reuses the deployment socket.
@@ -1059,9 +1058,7 @@ impl LocalDeployment {
                 let obs = self.client_obs.clone();
                 let client_stats = self.client_stats.clone();
                 let net = self.net.clone();
-                // Each client replays its own camera (distinct seed),
-                // via the shared derivation the DES predictor uses.
-                let scene = predict::client_scene(opts.seed, cid, opts.width, opts.height);
+                let recording = camera(cid);
                 std::thread::Builder::new()
                     .name(format!("scatter-client-{cid}"))
                     .spawn(move || {
@@ -1070,7 +1067,7 @@ impl LocalDeployment {
                             cid,
                             &socket,
                             primary_addr,
-                            &scene,
+                            &recording,
                             &ctx,
                             &opts,
                             &client_stats,
@@ -1088,7 +1085,7 @@ impl LocalDeployment {
             0,
             &self.client_socket,
             self.primary_addr,
-            &self.scene,
+            &camera(0),
             &self.ctx,
             opts,
             &self.client_stats,

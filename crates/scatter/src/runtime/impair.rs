@@ -6,7 +6,7 @@
 //! surface) only existed in simulation. This shim closes the gap
 //! without `tc netem` or root: every service/client socket is wrapped
 //! in an [`RtSocket`], and each *send* consults a per-link
-//! [`LinkState`] that draws drop/duplication decisions from a seeded
+//! `LinkState` that draws drop/duplication decisions from a seeded
 //! [`SimRng`] (optionally through the same Gilbert–Elliott burst
 //! channel the DES uses, [`simnet::GilbertElliott`]) and ships delayed
 //! datagrams through a single delay-line thread.

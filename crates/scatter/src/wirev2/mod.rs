@@ -44,9 +44,10 @@
 //! Both planes speak v2: the runtime ships real envelopes through the
 //! impairment shim ([`rx::RxState`] at every receive site), while the
 //! DES consumes an analytically precomputed byte schedule
-//! ([`predict::uplink_schedule`]) produced by running the *same*
-//! encoder pipeline — which is what makes exact cross-plane
-//! bytes-on-wire agreement a testable gate rather than a hope.
+//! ([`predict::uplink_schedule_v2`]) produced by running the *same*
+//! uplink over the *same* `predict::Recording` of the client's camera
+//! — which is what makes exact cross-plane bytes-on-wire agreement a
+//! testable gate rather than a hope.
 
 pub mod codec;
 pub mod crc;

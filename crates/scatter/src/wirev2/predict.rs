@@ -1,16 +1,22 @@
-//! Analytic bytes-on-wire model for the DES plane.
+//! Analytic bytes-on-wire model for the DES plane, and the camera both
+//! planes stream.
 //!
 //! The DES does not push real datagrams, but for the cross-plane
 //! bytes-on-wire gate it must account for *exactly* the bytes the
 //! runtime would send. Rather than re-deriving the encoder analytically
-//! (and diverging one varint at a time), the predictor runs the real
-//! pipeline — scene → DCT encode → [`UplinkTx`] → codec — once per
-//! client at world build, producing a per-frame datagram-byte schedule
-//! the simulation then consumes. Agreement with the runtime is by
+//! (and diverging one varint at a time), the predictor feeds the real
+//! uplink — [`UplinkTx`] → codec — from the same `Recording` the
+//! runtime client replays: the client's DCT-encoded camera loop, encoded
+//! once per process. That yields a per-frame datagram-byte schedule the
+//! simulation then consumes. Agreement with the runtime is by
 //! construction; the `wire` experiment gates it anyway.
 
+use std::collections::VecDeque;
+use std::sync::{Arc, Mutex};
+
+use bytes::Bytes;
 use vision::codec::{encode, Quality};
-use vision::scene::SceneGenerator;
+use vision::scene::{SceneGenerator, VIDEO_FRAMES};
 
 use crate::runtime::wire::{CHUNK_BYTES, HEADER_BYTES};
 use crate::wirev2::codec::maybe_compress;
@@ -22,6 +28,79 @@ use crate::wirev2::tx::{UplinkPolicy, UplinkTx};
 /// payload bytes.
 pub fn client_scene(seed: u64, cid: u16, width: usize, height: usize) -> SceneGenerator {
     SceneGenerator::workplace_scaled(seed ^ ((cid as u64) << 8), width, height)
+}
+
+/// Recordings one process keeps; the oldest is evicted first, and its
+/// holders keep their `Arc`.
+const RECORDINGS: usize = 8;
+
+type RecordingKey = (u64, u16, usize, usize, u8);
+static MEMO: Mutex<VecDeque<(RecordingKey, Arc<Recording>)>> = Mutex::new(VecDeque::new());
+
+/// One client's camera as a file, as the paper's clients replay a
+/// pre-recorded, already-compressed clip: the DCT stream of each frame of
+/// the [`client_scene`] loop. [`SceneGenerator::frame`] is periodic in
+/// [`VIDEO_FRAMES`], so stream frame `f` is loop frame
+/// `f % VIDEO_FRAMES`, bit for bit.
+///
+/// Frames are encoded lazily, in loop order, the first time one is asked
+/// for, into one append-only log (≈ 1.1 MB per key at 256×144, Q85).
+pub(crate) struct Recording {
+    scene: SceneGenerator,
+    quality: Quality,
+    log: Mutex<Log>,
+}
+
+/// The encoded frames back to back; frame `i` ends at `ends[i]`.
+struct Log {
+    bytes: Vec<u8>,
+    ends: Vec<usize>,
+}
+
+impl Recording {
+    /// This process's recording of client `cid`'s camera at
+    /// `width`×`height`, encoded at `quality`.
+    pub(crate) fn of(seed: u64, cid: u16, width: usize, height: usize, quality: u8) -> Arc<Self> {
+        let key = (seed, cid, width, height, quality);
+        let mut memo = MEMO.lock().expect("recording memo");
+        if let Some((_, rec)) = memo.iter().find(|(k, _)| *k == key) {
+            return Arc::clone(rec);
+        }
+        if memo.len() == RECORDINGS {
+            memo.pop_front();
+        }
+        let rec = Arc::new(Recording {
+            scene: client_scene(seed, cid, width, height),
+            quality: Quality(quality),
+            log: Mutex::new(Log {
+                bytes: Vec::new(),
+                ends: Vec::with_capacity(VIDEO_FRAMES as usize),
+            }),
+        });
+        memo.push_back((key, Arc::clone(&rec)));
+        rec
+    }
+
+    /// Encoded stream frame `f`.
+    pub(crate) fn frame(&self, f: u32) -> Bytes {
+        let f = (f % VIDEO_FRAMES) as usize;
+        let mut log = self.log.lock().expect("recording log");
+        while log.ends.len() <= f {
+            let stream = encode(&self.scene.frame(log.ends.len() as u32), self.quality);
+            if log.ends.is_empty() {
+                // One reservation for the loop, a quarter over the first
+                // frame: at 256×144 every frame lies within a tenth of
+                // the first's size, so the log does not regrow.
+                log.bytes
+                    .reserve_exact(stream.len() * VIDEO_FRAMES as usize * 5 / 4);
+            }
+            log.bytes.extend_from_slice(&stream);
+            let end = log.bytes.len();
+            log.ends.push(end);
+        }
+        let start = f.checked_sub(1).map_or(0, |p| log.ends[p]);
+        Bytes::copy_from_slice(&log.bytes[start..log.ends[f]])
+    }
 }
 
 /// Total datagram bytes for one message of `payload_len` bytes under
@@ -51,11 +130,11 @@ pub fn uplink_schedule_v2(
     frames: usize,
     policy: UplinkPolicy,
 ) -> Vec<u64> {
-    let scene = client_scene(seed, cid, width, height);
+    let recording = Recording::of(seed, cid, width, height, quality);
     let mut tx = UplinkTx::assume_acked(policy);
     (0..frames)
         .map(|f| {
-            let stream = encode(&scene.frame(f as u32), Quality(quality));
+            let stream = recording.frame(f as u32);
             let (_kind, _base, payload) = tx.prepare(f as u32, stream);
             let (_codec, compressed) = maybe_compress(&payload, policy.compress);
             let shipped = compressed.map_or(payload.len(), |c| c.len());
@@ -75,9 +154,9 @@ pub fn uplink_schedule_v1(
     quality: u8,
     frames: usize,
 ) -> Vec<u64> {
-    let scene = client_scene(seed, cid, width, height);
+    let recording = Recording::of(seed, cid, width, height, quality);
     (0..frames)
-        .map(|f| v1_wire_bytes(encode(&scene.frame(f as u32), Quality(quality)).len()))
+        .map(|f| v1_wire_bytes(recording.frame(f as u32).len()))
         .collect()
 }
 
@@ -88,7 +167,6 @@ mod tests {
     use crate::runtime::wire::WireMsg;
     use crate::wirev2::envelope;
     use crate::wirev2::FrameKind;
-    use bytes::Bytes;
 
     /// The predictor's byte formula must equal what the real encoder
     /// puts on the wire, datagram for datagram.
@@ -152,6 +230,67 @@ mod tests {
             let sent: u64 = dgrams.iter().map(|d| d.len() as u64).sum();
             assert_eq!(sent, predicted, "frame {f}");
             tx.ack(f as u32); // healthy link: prompt acks
+        }
+    }
+
+    /// The recording is the camera loop, encoded: every stream frame
+    /// equals a fresh render + encode of that frame, past the loop's end
+    /// too, and the recording is shared, bounded and safe to fill from
+    /// several threads at once.
+    #[test]
+    fn recording_replays_the_encoded_camera_loop() {
+        let fresh =
+            |seed, cid, w, h, f| encode(&client_scene(seed, cid, w, h).frame(f), Quality(85));
+        for seed in [7u64, 1009] {
+            for cid in [0u16, 3] {
+                let rec = Recording::of(seed, cid, 32, 18, 85);
+                assert!(Arc::ptr_eq(&rec, &Recording::of(seed, cid, 32, 18, 85)));
+                for f in 0..2 * VIDEO_FRAMES {
+                    let want = fresh(seed, cid, 32, 18, f);
+                    assert_eq!(
+                        rec.frame(f)[..],
+                        want[..],
+                        "seed {seed} cid {cid} frame {f}"
+                    );
+                }
+            }
+        }
+        let rec = Recording::of(7, 0, 256, 144, 85);
+        for f in [0, 1, 2, VIDEO_FRAMES, VIDEO_FRAMES + 2] {
+            assert_eq!(
+                rec.frame(f)[..],
+                fresh(7, 0, 256, 144, f)[..],
+                "256x144 frame {f}"
+            );
+        }
+
+        // Bounded: the memo never outgrows its cap, and evicts oldest
+        // first while an evicted recording stays usable to its holder.
+        let first = Recording::of(0xE71C7, 0, 32, 32, 85);
+        for seed in 1..=RECORDINGS as u64 {
+            Recording::of(0xE71C7 + seed, 0, 32, 32, 85);
+            assert!(MEMO.lock().unwrap().len() <= RECORDINGS);
+        }
+        assert!(!Arc::ptr_eq(&first, &Recording::of(0xE71C7, 0, 32, 32, 85)));
+        assert_eq!(first.frame(5)[..], fresh(0xE71C7, 0, 32, 32, 5)[..]);
+
+        // Four threads filling one fresh key at once read identical bytes.
+        let rec = Recording::of(42, 1, 64, 36, 85);
+        let start = std::sync::Barrier::new(4);
+        let reads: Vec<Vec<Bytes>> = std::thread::scope(|s| {
+            let readers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        (0..60).map(|f| rec.frame(f)).collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            readers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        for (f, got) in reads[0].iter().enumerate() {
+            assert_eq!(got[..], fresh(42, 1, 64, 36, f as u32)[..], "frame {f}");
+            assert!(reads.iter().all(|r| r[f][..] == got[..]), "frame {f}");
         }
     }
 

@@ -5,7 +5,7 @@
 //! (≈3 ms RTT), and an AWS cloud instance at ≈15 ms RTT from everything
 //! on-premises. Co-located services talk over loopback.
 //!
-//! Two storage layouts back the same API (see [`Store`]): a dense pair
+//! Two storage layouts back the same API (see `Store`): a dense pair
 //! matrix for the paper-sized testbed and a sparse adjacency list for
 //! scale-out worlds with hundreds of access-site nodes. The layout is
 //! selected automatically from the node count and is invisible to

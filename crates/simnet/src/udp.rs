@@ -112,7 +112,7 @@ impl DirStore {
 
 /// Datagram transport facade: topology + RNG + counters + per-direction
 /// serialization queues for bandwidth-limited links. The directed state
-/// lives in a [`DirStore`] whose layout follows the topology's — dense
+/// lives in a `DirStore` whose layout follows the topology's — dense
 /// matrices for the paper testbed, per-edge vectors at scale. Both
 /// layouts execute the identical decision sequence (and draw from the
 /// RNG in the identical order), so outcomes are layout-independent;

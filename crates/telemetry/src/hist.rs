@@ -281,7 +281,7 @@ impl HistSnapshot {
     }
 
     /// Expand into per-sample bucket midpoints — the bridge to the exact
-    /// [`metrics`]-style summaries for reconciliation tests. Intended
+    /// `metrics`-style summaries for reconciliation tests. Intended
     /// for test-sized populations; the expansion is `count()` long.
     pub fn midpoint_samples(&self) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.count as usize);

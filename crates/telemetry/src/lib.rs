@@ -3,7 +3,7 @@
 //! The paper's contribution is a *characterization*: FPS, end-to-end
 //! latency, per-service latency, jitter, and CPU/memory utilization
 //! sampled continuously while clients scale. The sibling crates compute
-//! those numbers *post hoc* ([`metrics`] summaries inside a finished
+//! those numbers *post hoc* (`metrics` summaries inside a finished
 //! `RunReport`); this crate is the *live* counterpart a production
 //! deployment would actually scrape:
 //!

@@ -37,7 +37,7 @@ fn add_tap(dst: &mut [f32], kv: f32, src: &[f32]) {
 
 /// Separable blur with a precomputed (odd-length, normalized) kernel.
 ///
-/// Both passes loop taps outside and pixels inside ([`add_tap`]); the
+/// Both passes loop taps outside and pixels inside (`add_tap`); the
 /// output is bit-identical to the naive clamped convolution. Only the
 /// `radius` border columns of the horizontal pass clamp per tap; the
 /// vertical pass clamps its row index once per tap.

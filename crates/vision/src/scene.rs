@@ -232,6 +232,17 @@ mod tests {
         assert_eq!(g.frame(3), g.frame(3 + VIDEO_FRAMES));
     }
 
+    /// Bit-for-bit periodicity: what lets a client replay one recorded
+    /// loop of encoded frames instead of rendering each frame.
+    #[test]
+    fn frames_repeat_bit_for_bit_every_loop() {
+        let g = SceneGenerator::workplace_scaled(7, 64, 36);
+        let bits = |i: u32| -> Vec<u32> { g.frame(i).data().iter().map(|v| v.to_bits()).collect() };
+        for i in [0, 299, 300, 599, 12_345] {
+            assert_eq!(bits(i), bits(i % VIDEO_FRAMES), "frame {i}");
+        }
+    }
+
     #[test]
     fn camera_moves_between_frames() {
         let a = camera_pose(0);

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Full local verification gate. Every stage exits non-zero on failure:
-#   fmt, clippy -D warnings, release build, tests
+#   fmt, clippy -D warnings, rustdoc -D warnings, release build, tests
 #   vision:       optimised, the SIFT golden oracle and the full 10^7 angle-bin sweeps
 #   figure suite: `all` completes in parallel; parallel == sequential
 #   telemetry:    the live metrics plane reconciles with the post-hoc report
@@ -19,6 +19,9 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy (workspace, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc (workspace libraries, warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace --lib
 
 echo "==> cargo build --release"
 cargo build --release
