@@ -175,7 +175,7 @@ impl OrientationWindow {
         let best = hist
             .iter()
             .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite hist"))
+            .max_by(|a, b| a.1.total_cmp(b.1))
             .map(|(i, _)| i)
             .unwrap_or(0);
         (best as f32 + 0.5) / 36.0 * std::f32::consts::TAU - std::f32::consts::PI
@@ -187,17 +187,28 @@ pub fn detect_on_pyramid(pyr: &Pyramid, params: &DetectorParams) -> Vec<Keypoint
     // Candidates carry their octave-grid position; orientation (the
     // expensive part) is assigned after the cap, to the survivors only.
     let mut found: Vec<(Keypoint, usize, usize)> = Vec::new();
+    let mut candidate = Vec::new();
     let k = 2f32.powf(1.0 / pyr.scales_per_octave as f32);
     for (oi, oct) in pyr.octaves.iter().enumerate() {
         let (w, h) = (oct.dogs[0].width(), oct.dogs[0].height());
         for s in 1..oct.dogs.len() - 1 {
             let dog = oct.dogs[s].data();
             for y in 1..h - 1 {
-                for x in 1..w - 1 {
+                // Branch-free first cut over the row: the contrast test and
+                // `is_extremum`'s in-row step, as written there (so a NaN
+                // passes both, as before). About 5 % of pixels survive.
+                candidate.clear();
+                candidate.extend(dog[y * w..(y + 1) * w].windows(3).map(|t| {
+                    let (l, v, r) = (t[0], t[1], t[2]);
+                    let (not_max, not_min) = ((l >= v) | (r >= v), (l <= v) | (r <= v));
+                    let faint = v.abs() < params.contrast_threshold;
+                    !(faint | (not_max & not_min))
+                }));
+                let survivors = candidate.iter().enumerate().filter(|(_, &keep)| keep);
+                for x in survivors.map(|(i, _)| i + 1) {
                     let c = y * w + x;
                     let v = dog[c];
-                    if v.abs() < params.contrast_threshold
-                        || !is_extremum(&oct.dogs, s, w, c)
+                    if !is_extremum(&oct.dogs, s, w, c)
                         || !passes_edge_test(dog, w, c, params.edge_ratio)
                     {
                         continue;
@@ -217,13 +228,13 @@ pub fn detect_on_pyramid(pyr: &Pyramid, params: &DetectorParams) -> Vec<Keypoint
         }
     }
     // Keep the strongest responses, deterministically tie-broken by
-    // position so equal-response keypoints sort stably.
+    // position so equal-response keypoints sort stably. `total_cmp` equals
+    // `partial_cmp` on these non-negative values and also orders a NaN.
     found.sort_by(|(a, ..), (b, ..)| {
         b.response
-            .partial_cmp(&a.response)
-            .expect("finite responses")
-            .then(a.y.partial_cmp(&b.y).expect("finite"))
-            .then(a.x.partial_cmp(&b.x).expect("finite"))
+            .total_cmp(&a.response)
+            .then(a.y.total_cmp(&b.y))
+            .then(a.x.total_cmp(&b.x))
     });
     found.truncate(params.max_keypoints);
     let window = OrientationWindow::new(pyr.sigma0);
@@ -474,6 +485,30 @@ mod tests {
             best.x,
             best.y,
         );
+    }
+
+    #[test]
+    fn non_finite_pixels_do_not_panic() {
+        // Non-finite pixels along the edges, away from the blob.
+        let mut img = blob_image();
+        for (i, v) in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY]
+            .into_iter()
+            .enumerate()
+        {
+            img.set(20 * i, 0, v);
+            img.set(63, 20 * i, v);
+            img.set(21 * i, 63, v);
+        }
+        let (mut pyr, kps) = detect(&img, &DetectorParams::default());
+        assert!(!kps.is_empty());
+        assert_eq!(crate::descriptor::describe_all(&pyr, &kps).len(), kps.len());
+        // A NaN inside an orientation window (the level, not the DoGs)
+        // puts a NaN into that keypoint's histogram.
+        for level in &mut pyr.octaves[0].levels {
+            level.set(34, 32, f32::NAN);
+        }
+        let again = detect_on_pyramid(&pyr, &DetectorParams::default());
+        assert_eq!(again.len(), kps.len());
     }
 
     #[test]

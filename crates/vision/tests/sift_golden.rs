@@ -510,6 +510,8 @@ fn small_and_odd_sizes_are_bit_identical() {
 
 #[test]
 fn blur_is_bit_identical_including_kernels_wider_than_the_image() {
+    // Widths on either side of the 32-pixel accumulator blocks, and 1-row
+    // images, where every vertical tap reads the same row.
     for (w, h) in [
         (16usize, 16usize),
         (17, 33),
@@ -517,6 +519,15 @@ fn blur_is_bit_identical_including_kernels_wider_than_the_image() {
         (3, 3),
         (1, 7),
         (40, 2),
+        (31, 5),
+        (32, 6),
+        (33, 7),
+        (64, 3),
+        (65, 4),
+        (97, 9),
+        (1, 1),
+        (33, 1),
+        (97, 1),
     ] {
         let img = synthetic(w, h, 1);
         for sigma in [0.4f32, 1.0, 1.6, 3.2, 6.0] {
@@ -535,6 +546,33 @@ fn blur_is_bit_identical_including_kernels_wider_than_the_image() {
             &oracle::gaussian_blur_with(&neg, &k),
             &format!("{w}x{h} negated"),
         );
+    }
+}
+
+#[test]
+fn blur_replicates_extreme_edge_columns_bit_identically() {
+    // ±∞ or ±f32::MAX in the first and last columns, each beside a value
+    // of the opposite sign: replicating the wrong pixel, or padding with
+    // anything else, changes the border sums (or turns ∞ into NaN).
+    for (w, h) in [(31usize, 6usize), (32, 5), (33, 1), (65, 7)] {
+        for edge in [f32::INFINITY, f32::NEG_INFINITY, f32::MAX, -f32::MAX] {
+            let mut img = synthetic(w, h, 2);
+            let inner = f32::MAX.copysign(-edge);
+            for y in 0..h {
+                img.set(0, y, edge);
+                img.set(1, y, inner);
+                img.set(w - 2, y, -inner);
+                img.set(w - 1, y, -edge);
+            }
+            for sigma in [0.4f32, 1.6, 6.0] {
+                let k = gaussian_kernel(sigma);
+                assert_image_bits(
+                    &gaussian_blur_with(&img, &k),
+                    &oracle::gaussian_blur_with(&img, &k),
+                    &format!("{w}x{h} edge columns {edge:e}, sigma {sigma}"),
+                );
+            }
+        }
     }
 }
 
