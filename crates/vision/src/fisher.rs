@@ -8,17 +8,33 @@
 //! descriptors the frame produced. Power ("signed square root") and L2
 //! normalization follow the "improved FV" recipe.
 
-use crate::gmm::DiagGmm;
+use crate::gmm::{ln_table, DiagGmm};
 
 /// Fisher-vector encoder wrapping a fitted GMM.
 #[derive(Debug, Clone)]
 pub struct FisherEncoder {
     gmm: DiagGmm,
+    /// `gmm.vars[k][j].ln()`, for the posteriors.
+    ln_vars: Vec<Vec<f64>>,
+    /// `gmm.vars[k][j].sqrt()`, the per-element standard deviations.
+    sigmas: Vec<Vec<f64>>,
 }
 
 impl FisherEncoder {
+    /// Wrap `gmm`, taking the `ln` and `sqrt` of every variance once here
+    /// rather than per element of every encoded descriptor.
     pub fn new(gmm: DiagGmm) -> Self {
-        FisherEncoder { gmm }
+        let ln_vars = ln_table(&gmm.vars);
+        let sigmas = gmm
+            .vars
+            .iter()
+            .map(|v| v.iter().map(|s| s.sqrt()).collect())
+            .collect();
+        FisherEncoder {
+            gmm,
+            ln_vars,
+            sigmas,
+        }
     }
 
     pub fn gmm(&self) -> &DiagGmm {
@@ -45,15 +61,14 @@ impl FisherEncoder {
 
         for x in descriptors {
             assert_eq!(x.len(), d, "descriptor dimension mismatch");
-            let gamma = self.gmm.posteriors(x);
+            let gamma = self.gmm.posteriors_with(x, &self.ln_vars);
             for c in 0..k {
                 let g = gamma[c];
                 if g < 1e-12 {
                     continue;
                 }
                 for j in 0..d {
-                    let sigma = self.gmm.vars[c][j].sqrt();
-                    let u = (x[j] - self.gmm.means[c][j]) / sigma;
+                    let u = (x[j] - self.gmm.means[c][j]) / self.sigmas[c][j];
                     // Gradient w.r.t. mean.
                     fv[c * d + j] += g * u;
                     // Gradient w.r.t. variance.
@@ -178,6 +193,68 @@ mod tests {
         let b = enc.encode(&rev);
         for (x, y) in a.iter().zip(&b) {
             assert!((x - y).abs() < 1e-12);
+        }
+    }
+
+    /// `encode` as it stood when every element took `var.sqrt()` and
+    /// every descriptor's posteriors took `var.ln()` per element. Frozen.
+    fn reference_encode(gmm: &DiagGmm, descriptors: &[Vec<f64>]) -> Vec<f64> {
+        let (k, d) = (gmm.n_components(), gmm.dim());
+        let mut fv = vec![0.0f64; 2 * k * d];
+        if descriptors.is_empty() {
+            return fv;
+        }
+        let n = descriptors.len() as f64;
+        for x in descriptors {
+            let gamma = crate::gmm::reference::posteriors(gmm, x);
+            for c in 0..k {
+                let g = gamma[c];
+                if g < 1e-12 {
+                    continue;
+                }
+                for j in 0..d {
+                    let sigma = gmm.vars[c][j].sqrt();
+                    let u = (x[j] - gmm.means[c][j]) / sigma;
+                    fv[c * d + j] += g * u;
+                    fv[k * d + c * d + j] += g * (u * u - 1.0);
+                }
+            }
+        }
+        for c in 0..k {
+            let wc = gmm.weights[c].max(1e-12);
+            let mean_scale = 1.0 / (n * wc.sqrt());
+            let var_scale = 1.0 / (n * (2.0 * wc).sqrt());
+            for j in 0..d {
+                fv[c * d + j] *= mean_scale;
+                fv[k * d + c * d + j] *= var_scale;
+            }
+        }
+        for v in &mut fv {
+            *v = v.signum() * v.abs().sqrt();
+        }
+        let norm = fv.iter().map(|v| v * v).sum::<f64>().sqrt();
+        if norm > 1e-12 {
+            for v in &mut fv {
+                *v /= norm;
+            }
+        }
+        fv
+    }
+
+    #[test]
+    fn encode_matches_the_per_element_reference() {
+        use crate::gmm::tests::{bits, clustered};
+        let train = clustered(21, 103, 16, 4);
+        let enc = FisherEncoder::new(DiagGmm::fit(&train, 4, 15, &mut SimRng::new(22)));
+        let sets = [
+            clustered(23, 71, 16, 5),
+            clustered(24, 1, 16, 5),
+            clustered(25, 200, 16, 5),
+            train,
+        ];
+        for descs in &sets {
+            let got = enc.encode(descs);
+            assert_eq!(bits(&[got]), bits(&[reference_encode(enc.gmm(), descs)]));
         }
     }
 

@@ -46,10 +46,12 @@ impl DiagGmm {
         let mut resp = vec![vec![0.0f64; k]; data.len()];
         for _ in 0..iters {
             // E step: responsibilities via log-sum-exp.
+            let ln_vars = ln_table(&vars);
             for (i, x) in data.iter().enumerate() {
                 let mut logp = vec![0.0f64; k];
                 for c in 0..k {
-                    logp[c] = weights[c].max(1e-300).ln() + log_gauss(x, &means[c], &vars[c]);
+                    logp[c] = weights[c].max(1e-300).ln()
+                        + log_gauss(x, &means[c], &vars[c], &ln_vars[c]);
                 }
                 let m = logp.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
                 let denom: f64 = logp.iter().map(|&lp| (lp - m).exp()).sum();
@@ -118,10 +120,17 @@ impl DiagGmm {
 
     /// Posterior responsibilities `p(k | x)`.
     pub fn posteriors(&self, x: &[f64]) -> Vec<f64> {
+        self.posteriors_with(x, &ln_table(&self.vars))
+    }
+
+    /// [`Self::posteriors`] with `ln_table(&self.vars)` computed by the
+    /// caller, once per model rather than once per descriptor.
+    pub(crate) fn posteriors_with(&self, x: &[f64], ln_vars: &[Vec<f64>]) -> Vec<f64> {
         let k = self.n_components();
         let mut logp = vec![0.0f64; k];
         for (c, lp) in logp.iter_mut().enumerate() {
-            *lp = self.weights[c].max(1e-300).ln() + log_gauss(x, &self.means[c], &self.vars[c]);
+            *lp = self.weights[c].max(1e-300).ln()
+                + log_gauss(x, &self.means[c], &self.vars[c], &ln_vars[c]);
         }
         let m = logp.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         let denom: f64 = logp.iter().map(|&lp| (lp - m).exp()).sum();
@@ -130,12 +139,13 @@ impl DiagGmm {
 
     /// Average log-likelihood of a dataset under the model.
     pub fn avg_log_likelihood(&self, data: &[Vec<f64>]) -> f64 {
+        let ln_vars = ln_table(&self.vars);
         data.iter()
             .map(|x| {
                 let lps: Vec<f64> = (0..self.n_components())
                     .map(|c| {
                         self.weights[c].max(1e-300).ln()
-                            + log_gauss(x, &self.means[c], &self.vars[c])
+                            + log_gauss(x, &self.means[c], &self.vars[c], &ln_vars[c])
                     })
                     .collect();
                 let m = lps.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
@@ -146,11 +156,21 @@ impl DiagGmm {
     }
 }
 
-fn log_gauss(x: &[f64], mean: &[f64], var: &[f64]) -> f64 {
+/// `ln` of each entry: the `var.ln()` the log density needs, taken once
+/// per model instead of once per element per sample (the same call on the
+/// same operand, so the same bits).
+pub(crate) fn ln_table(vars: &[Vec<f64>]) -> Vec<Vec<f64>> {
+    vars.iter()
+        .map(|v| v.iter().map(|s| s.ln()).collect())
+        .collect()
+}
+
+/// Diagonal Gaussian log density; `ln_var[j]` is `var[j].ln()`.
+fn log_gauss(x: &[f64], mean: &[f64], var: &[f64], ln_var: &[f64]) -> f64 {
     let mut acc = 0.0;
     for j in 0..x.len() {
         let diff = x[j] - mean[j];
-        acc += -0.5 * (diff * diff / var[j] + var[j].ln() + (2.0 * std::f64::consts::PI).ln());
+        acc += -0.5 * (diff * diff / var[j] + ln_var[j] + (2.0 * std::f64::consts::PI).ln());
     }
     acc
 }
@@ -189,8 +209,115 @@ fn dist2(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
+/// The EM fit and posteriors as they stood when every log density took
+/// `var.ln()` per element: the oracle the table-driven versions must
+/// reproduce bit for bit. Frozen; not to be "improved".
 #[cfg(test)]
-mod tests {
+pub(crate) mod reference {
+    use super::{kmeanspp, DiagGmm, VAR_FLOOR};
+    use simcore::SimRng;
+
+    fn log_gauss(x: &[f64], mean: &[f64], var: &[f64]) -> f64 {
+        let mut acc = 0.0;
+        for j in 0..x.len() {
+            let diff = x[j] - mean[j];
+            acc += -0.5 * (diff * diff / var[j] + var[j].ln() + (2.0 * std::f64::consts::PI).ln());
+        }
+        acc
+    }
+
+    pub fn posteriors(gmm: &DiagGmm, x: &[f64]) -> Vec<f64> {
+        let k = gmm.n_components();
+        let mut logp = vec![0.0f64; k];
+        for (c, lp) in logp.iter_mut().enumerate() {
+            *lp = gmm.weights[c].max(1e-300).ln() + log_gauss(x, &gmm.means[c], &gmm.vars[c]);
+        }
+        let m = logp.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        let denom: f64 = logp.iter().map(|&lp| (lp - m).exp()).sum();
+        logp.iter().map(|&lp| (lp - m).exp() / denom).collect()
+    }
+
+    pub fn fit(data: &[Vec<f64>], k: usize, iters: usize, rng: &mut SimRng) -> DiagGmm {
+        let d = data[0].len();
+        let mut means = kmeanspp(data, k, rng);
+        let global_mean: Vec<f64> = (0..d)
+            .map(|j| data.iter().map(|r| r[j]).sum::<f64>() / data.len() as f64)
+            .collect();
+        let global_var: Vec<f64> = (0..d)
+            .map(|j| {
+                (data
+                    .iter()
+                    .map(|r| (r[j] - global_mean[j]).powi(2))
+                    .sum::<f64>()
+                    / data.len() as f64)
+                    .max(VAR_FLOOR)
+            })
+            .collect();
+        let mut vars = vec![global_var.clone(); k];
+        let mut weights = vec![1.0 / k as f64; k];
+        let mut resp = vec![vec![0.0f64; k]; data.len()];
+        for _ in 0..iters {
+            for (i, x) in data.iter().enumerate() {
+                let mut logp = vec![0.0f64; k];
+                for c in 0..k {
+                    logp[c] = weights[c].max(1e-300).ln() + log_gauss(x, &means[c], &vars[c]);
+                }
+                let m = logp.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+                let denom: f64 = logp.iter().map(|&lp| (lp - m).exp()).sum();
+                for c in 0..k {
+                    resp[i][c] = (logp[c] - m).exp() / denom;
+                }
+            }
+            for c in 0..k {
+                let nk: f64 = resp.iter().map(|r| r[c]).sum();
+                if nk < 1e-9 {
+                    let worst = (0..data.len())
+                        .max_by(|&a, &b| {
+                            let pa: f64 = resp[a].iter().sum();
+                            let pb: f64 = resp[b].iter().sum();
+                            pa.partial_cmp(&pb).expect("finite resp")
+                        })
+                        .expect("nonempty data");
+                    means[c] = data[worst].clone();
+                    vars[c] = global_var.clone();
+                    weights[c] = 1.0 / k as f64;
+                    continue;
+                }
+                weights[c] = nk / data.len() as f64;
+                for j in 0..d {
+                    let mu = data
+                        .iter()
+                        .enumerate()
+                        .map(|(i, x)| resp[i][c] * x[j])
+                        .sum::<f64>()
+                        / nk;
+                    means[c][j] = mu;
+                }
+                for j in 0..d {
+                    let var = data
+                        .iter()
+                        .enumerate()
+                        .map(|(i, x)| resp[i][c] * (x[j] - means[c][j]).powi(2))
+                        .sum::<f64>()
+                        / nk;
+                    vars[c][j] = var.max(VAR_FLOOR);
+                }
+            }
+            let wsum: f64 = weights.iter().sum();
+            for w in &mut weights {
+                *w /= wsum;
+            }
+        }
+        DiagGmm {
+            weights,
+            means,
+            vars,
+        }
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
     use super::*;
 
     /// Two well-separated 2-D blobs.
@@ -275,6 +402,56 @@ mod tests {
         let data = two_blobs(&mut rng, 200);
         let gmm = DiagGmm::fit(&data, 4, 15, &mut rng);
         assert!((gmm.weights.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+    }
+
+    /// Every bit of a float table, for exact comparison (NaN-safe).
+    pub(crate) fn bits(rows: &[Vec<f64>]) -> Vec<Vec<u64>> {
+        rows.iter()
+            .map(|r| r.iter().map(|v| v.to_bits()).collect())
+            .collect()
+    }
+
+    /// `n` samples in `d` dimensions around `k` spread-out centres, with
+    /// per-dimension scales from 1e-3 to 10 (some variances hit the floor).
+    pub(crate) fn clustered(seed: u64, n: usize, d: usize, k: usize) -> Vec<Vec<f64>> {
+        let mut rng = SimRng::new(seed);
+        let centres: Vec<Vec<f64>> = (0..k)
+            .map(|_| (0..d).map(|_| rng.normal() * 4.0).collect())
+            .collect();
+        (0..n)
+            .map(|i| {
+                (0..d)
+                    .map(|j| centres[i % k][j] + rng.normal() * 10f64.powi(j as i32 % 5 - 3))
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fit_matches_the_per_element_ln_reference() {
+        // The encoder's shape (k = 4 over d = 16, 15 iterations), blobs,
+        // and a degenerate set whose variances all sit on the floor.
+        let sets = [
+            (clustered(11, 103, 16, 4), 4, 15),
+            (clustered(12, 300, 16, 6), 4, 15),
+            (two_blobs(&mut SimRng::new(13), 200), 3, 20),
+            (vec![vec![1.0, -2.0]; 40], 3, 5),
+        ];
+        for (i, (data, k, iters)) in sets.iter().enumerate() {
+            let got = DiagGmm::fit(data, *k, *iters, &mut SimRng::new(100 + i as u64));
+            let want = reference::fit(data, *k, *iters, &mut SimRng::new(100 + i as u64));
+            assert_eq!(
+                bits(std::slice::from_ref(&got.weights)),
+                bits(&[want.weights]),
+                "set {i}"
+            );
+            assert_eq!(bits(&got.means), bits(&want.means), "set {i}");
+            assert_eq!(bits(&got.vars), bits(&want.vars), "set {i}");
+            for x in data.iter().take(20) {
+                let (a, b) = (got.posteriors(x), reference::posteriors(&got, x));
+                assert_eq!(bits(&[a]), bits(&[b]), "set {i}");
+            }
+        }
     }
 
     #[test]

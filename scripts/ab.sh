@@ -4,21 +4,28 @@
 #
 #   scripts/ab.sh <parent-rev> <workload> <pairs> [seeds]
 #
-# The parent revision is exported with `git archive` (no worktree is
-# registered, so an interrupted run leaves nothing in .git). Both `ledger/`
-# binaries are built, each into its own target dir; the change side is the
-# working tree as it stands. Pair i runs at seeds[i mod n] (default
-# "7 1009"), parent first in even pairs and change first in odd ones (ABBA),
-# each as `ledger run --workload W --seed S --seconds 25 --trace 0` from its
-# own tree's root. Prints, per end-to-end metric of BENCHMARK.json, the
-# median [q1, q3] of each side, the change, pairs won and whether the median
-# gap exceeds the parent's IQR, then every pair's values.
+# The parent revision is exported with `git archive` into a fresh
+# `mktemp -d` outside the repository (no worktree is registered, so an
+# interrupted run leaves nothing in .git). Cargo reads `.cargo/config.toml`
+# from the directory it runs in and its ancestors, so each side's
+# `ledger/` binary is built with that side's tree as the working
+# directory, each into its own target dir: the parent with the parent's
+# build settings, the change (the working tree as it stands) with its own.
+# Each side's `-C target-cpu` on the `vision` compile (or its absence) is
+# printed. Pair i runs at seeds[i mod n] (default "7 1009"), parent first
+# in even pairs and change first in odd ones (ABBA), each as
+# `ledger run --workload W --seed S --seconds 25 --trace 0` from its own
+# tree's root. Prints, per end-to-end metric of BENCHMARK.json, the median
+# [q1, q3] of each side, the change, pairs won and whether the median gap
+# exceeds the parent's IQR, then every pair's values.
 #
 # Exits non-zero if a run exits non-zero or reports `correct: false`, or if
-# `wire_kb_per_frame` differs between any two runs of one seed.
+# `wire_kb_per_frame` or the reported `recognitions` differ between any two
+# runs of one seed.
 #
-# AB_DIR (default target/ab) holds the export, both target dirs and every
-# run's output; AB_SECONDS (default 25) shortens the runs for a smoke test.
+# AB_DIR (default target/ab) holds both target dirs, the build logs and
+# every run's output; AB_SECONDS (default 25) shortens the runs for a smoke
+# test. The parent export is removed on exit.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,22 +40,34 @@ root=$(pwd)
 mkdir -p "${AB_DIR:-target/ab}"
 work=$(cd "${AB_DIR:-target/ab}" && pwd)
 
-echo "==> exporting $rev" >&2
-rm -rf "$work/parent"
-mkdir -p "$work/parent"
-git archive "$rev" | tar -x -C "$work/parent"
+parent=$(mktemp -d)
+trap 'rm -rf "$parent"' EXIT
+echo "==> exporting $rev to $parent" >&2
+git archive "$rev" | tar -x -C "$parent"
 
-echo "==> building both ledger binaries" >&2
-cargo build --release --quiet --manifest-path "$work/parent/ledger/Cargo.toml" \
-    --target-dir "$work/parent-target"
-cargo build --release --quiet --manifest-path "$root/ledger/Cargo.toml" \
-    --target-dir "$work/change-target"
+build() { # side tree
+    local side=$1 tree=$2 log=$work/$1-build.log flags
+    echo "==> building the $side ledger binary in $tree" >&2
+    (cd "$tree" && cargo build -v --release --manifest-path ledger/Cargo.toml \
+        --target-dir "$work/$side-target") > "$log" 2>&1 || { cat "$log" >&2; exit 1; }
+    # A vision that is already fresh was built with these same flags
+    # (cargo fingerprints RUSTFLAGS); keep the evidence of its last compile.
+    if grep -q -- '--crate-name vision ' "$log"; then
+        flags=$(grep -- '--crate-name vision ' "$log" | grep -o -- '-C target-cpu=[^ `]*' \
+            | sort -u || true)
+        echo "${flags:-no -C target-cpu}" > "$work/$side-target/vision-target-cpu"
+    fi
+    echo "$side: vision compiled with $(cat "$work/$side-target/vision-target-cpu" 2>/dev/null \
+        || echo 'unknown flags (fresh, never logged)')" >&2
+}
+build parent "$parent"
+build change "$root"
 
 runs="$work/runs-$workload.tsv"
 : > "$runs"
 run() { # side pair seed
     local side=$1 pair=$2 seed=$3 dir bin out
-    if [ "$side" = parent ]; then dir=$work/parent; else dir=$root; fi
+    if [ "$side" = parent ]; then dir=$parent; else dir=$root; fi
     bin=$work/$side-target/release/ledger
     out=$work/$workload-$seed-$pair-$side
     local load status=0
@@ -132,5 +151,9 @@ for seed in sorted({r["seed"] for r in runs}):
     if len(wire) != 1:
         ok = False
         print(f"FAILED: wire_kb_per_frame differs within seed {seed}")
+    # A run none of whose segments completed every frame names none.
+    if len([r for r in recog if r != "recognitions ?"]) > 1:
+        ok = False
+        print(f"FAILED: recognitions differ within seed {seed}")
 sys.exit(0 if ok else 1)
 EOF

@@ -2,6 +2,9 @@
 # Full local verification gate. Every stage exits non-zero on failure:
 #   fmt, clippy -D warnings, rustdoc -D warnings, release build, tests
 #   vision:       optimised, the SIFT golden oracle and the full 10^7 angle-bin sweeps
+#   portable ISA: the vision tests again from a `-C target-cpu=x86-64` build, so
+#                 the native build (.cargo/config.toml) and a portable one
+#                 reproduce the same output bits (tests/isa_digest.rs)
 #   figure suite: `all` completes in parallel; parallel == sequential
 #   telemetry:    the live metrics plane reconciles with the post-hoc report
 #   chaos:        DES and real-UDP runtime agree exactly on crash-attributed drops
@@ -31,6 +34,9 @@ cargo test -q
 
 echo "==> vision, optimised: SIFT golden oracle and the full angle-bin sweeps"
 cargo test -q --release -p vision
+
+echo "==> vision, portable ISA: the same output bits from a baseline x86-64 build"
+RUSTFLAGS="-C target-cpu=x86-64" cargo test -q --release -p vision --target-dir target/baseline-isa
 
 echo "==> perf smoke: parallel figure suite completes"
 SCATTER_EXP_SECS=2 SCATTER_JOBS=2 ./target/release/all > /dev/null

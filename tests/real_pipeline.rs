@@ -1,6 +1,8 @@
 //! Integration: the real-UDP runtime agrees with the in-process vision
 //! pipeline, end to end.
 
+use std::time::Duration;
+
 use scatter::runtime::deploy::{run_local, RuntimeOptions};
 use simcore::SimRng;
 use vision::db::TrainParams;
@@ -70,18 +72,17 @@ fn runtime_statistics_are_consistent() {
 /// used to hit an `assert`/`expect` inside `lsh` or `matching`; the
 /// service thread died and every later frame was lost. They are now
 /// rejected at the stage's typed decode and counted.
+///
+/// What the run shows is counted, not timed: an unoptimised build may
+/// not keep up with 10 FPS, so the staleness filter sheds what falls
+/// behind, every frame ends completed or dropped stale, and the last
+/// frame, sent long after the crafted datagrams, completes.
 #[test]
 fn crafted_state_datagrams_are_counted_not_fatal() {
     use scatter::runtime::wire::{self, FrameState, WireMsg};
     use scatter::runtime::LocalDeployment;
     use scatter::ServiceKind;
-
-    let dep = LocalDeployment::start(RuntimeOptions {
-        frames: 30,
-        fps: 10.0,
-        seed: 7,
-        ..Default::default()
-    });
+    use trace::{Analysis, DropReason};
 
     // Real descriptors of a real frame, so the poisoned ones get as far
     // into `matching` (ratio test → RANSAC → DLT) as a genuine frame.
@@ -97,6 +98,17 @@ fn crafted_state_datagrams_are_counted_not_fatal() {
         .map(|&v| v as f32)
         .collect();
     assert_eq!(fisher.len(), db.fisher_dim());
+
+    let frames = 30;
+    let dep = LocalDeployment::start(RuntimeOptions {
+        frames,
+        fps: 10.0,
+        seed: 7,
+        threshold_ms: 1500.0,
+        drain: Duration::from_millis(3000),
+        trace: Some(trace::TraceConfig::default()),
+        ..Default::default()
+    });
 
     let state = |mutate: &dyn Fn(&mut FrameState)| {
         let mut s = FrameState {
@@ -129,7 +141,9 @@ fn crafted_state_datagrams_are_counted_not_fatal() {
             client: 9,
             frame_no: i as u32,
             step: *step,
-            emit_micros: 0,
+            // Never older than the staleness threshold: the filter must
+            // not discard them before the typed decode sees them.
+            emit_micros: u64::MAX,
             return_port: attacker.local_addr().expect("addr").port(),
             trace_id: (9u64 << 32) | i as u64,
             flags: 0,
@@ -146,10 +160,23 @@ fn crafted_state_datagrams_are_counted_not_fatal() {
     assert!(wire::decode_state(wire::encode_state(&state(&|_| {}))).is_ok());
 
     let report = dep.run_client();
-    dep.shutdown();
+    let frames_seen = Analysis::from_log(&dep.shutdown());
+    let stale: u64 = report.service_counts.iter().map(|&(_, _, _, s)| s).sum();
     assert_eq!(
-        report.completed, 30,
-        "frames after the crafted datagrams must still complete"
+        (report.emitted, u64::from(report.completed) + stale),
+        (frames, u64::from(frames)),
+        "every frame completes or is dropped stale: {report:?}"
+    );
+    let reasons: Vec<DropReason> = frames_seen.drop_reasons().into_keys().collect();
+    assert!(
+        reasons.iter().all(|&r| r == DropReason::ThresholdFilter),
+        "the staleness filter is the only drop reason: {reasons:?}"
+    );
+    assert!(
+        frames_seen
+            .frame(0, frames - 1)
+            .is_some_and(|f| f.completed()),
+        "the last frame must complete: the services outlive the crafted datagrams"
     );
     assert_eq!(
         report.malformed_datagrams,
