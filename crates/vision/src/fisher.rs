@@ -206,7 +206,7 @@ mod tests {
         }
         let n = descriptors.len() as f64;
         for x in descriptors {
-            let gamma = crate::gmm::reference::posteriors(gmm, x);
+            let gamma = crate::gmm::tests::reference_posteriors(gmm, x);
             for c in 0..k {
                 let g = gamma[c];
                 if g < 1e-12 {
@@ -243,18 +243,23 @@ mod tests {
 
     #[test]
     fn encode_matches_the_per_element_reference() {
-        use crate::gmm::tests::{bits, clustered};
-        let train = clustered(21, 103, 16, 4);
-        let enc = FisherEncoder::new(DiagGmm::fit(&train, 4, 15, &mut SimRng::new(22)));
-        let sets = [
-            clustered(23, 71, 16, 5),
-            clustered(24, 1, 16, 5),
-            clustered(25, 200, 16, 5),
-            train,
+        use crate::gmm::tests::bits;
+        let floored = vec![vec![1.0, -2.0]; 40];
+        let encoders = [
+            encoder(),
+            FisherEncoder::new(DiagGmm::fit(&floored, 3, 10, &mut SimRng::new(4))),
         ];
-        for descs in &sets {
-            let got = enc.encode(descs);
-            assert_eq!(bits(&[got]), bits(&[reference_encode(enc.gmm(), descs)]));
+        let mut rng = SimRng::new(5);
+        let descs: Vec<Vec<f64>> = (0..71)
+            .map(|_| vec![rng.normal() * 3.0, rng.normal() * 2.0])
+            .collect();
+        for enc in &encoders {
+            for set in [&descs[..1], &descs[..], &floored[..]] {
+                assert_eq!(
+                    bits(&enc.encode(set)),
+                    bits(&reference_encode(enc.gmm(), set))
+                );
+            }
         }
     }
 

@@ -43,25 +43,16 @@ fn add_tap(dst: &mut [f32], kv: f32, src: &[f32]) {
 
 /// Separable blur with a precomputed (odd-length, normalized) kernel.
 ///
-/// Both passes accumulate a block of output pixels at a time over all
-/// taps; the output is bit-identical to the naive clamped convolution. The
+/// Both passes accumulate 32 output pixels at a time over all taps; the
+/// output is bit-identical to the naive clamped convolution. The
 /// horizontal pass reads each row through an edge-replicated copy, so no
 /// tap clamps; the vertical pass clamps its row index once per tap.
 pub fn gaussian_blur_with(img: &GrayImage, k: &[f32]) -> GrayImage {
     blur_into(img, k, &mut Vec::new(), &mut Vec::new())
 }
 
-/// Output pixels [`convolve_row`] holds in registers at once, by the
-/// vector ISA the crate is compiled for: 64 (eight of AVX2's sixteen
-/// 8-lane registers) where that measured ≥ 5 % faster on
-/// [`Pyramid::build`], 32 elsewhere. AVX-512 builds stay at 32: LLVM
-/// still vectorises them at 8 lanes, and 64 or 128 measured no faster.
-/// The width changes no output bit (DESIGN.md §17).
-const BLOCK: usize = if cfg!(target_feature = "avx2") && !cfg!(target_feature = "avx512f") {
-    64
-} else {
-    32
-};
+/// Output pixels [`convolve_row`] holds in registers at once.
+const BLOCK: usize = 32;
 
 /// `out[x] = Σᵢ k[i] · tap(i)[x]`, each pixel from `+0.0` in kernel order,
 /// as [`add_tap`] would leave a zeroed `out`, but [`BLOCK`] pixels take
