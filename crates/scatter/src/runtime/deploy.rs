@@ -28,7 +28,7 @@ use crate::runtime::services::{
     RT_PROF_SHIFT,
 };
 use crate::runtime::stateful::{run_stateful_matching, run_stateful_sift, StatefulOptions};
-use crate::runtime::wire::{self, Reassembler, WireMsg};
+use crate::runtime::wire::{self, Reassembler, WireMsg, MAX_DATAGRAM};
 use crate::wirev2::{self, predict, FrameKind, RxState, UplinkTx};
 
 /// Options for a local run.
@@ -76,11 +76,6 @@ pub struct RuntimeOptions {
     /// Wire dialect: v2 (CRC-sealed, optionally compressed,
     /// delta-encoded uplink) or the byte-identical v1 default.
     pub wire: WireRtConfig,
-    /// Drain a whole syscall batch (`recvmmsg`) per service wakeup and
-    /// group consecutive pass-verdict fragments through one `sendmmsg`,
-    /// instead of one datagram per syscall. `false` (the default) is
-    /// the legacy single-datagram path, bit-compatible.
-    pub batch: bool,
 }
 
 impl Default for RuntimeOptions {
@@ -102,7 +97,6 @@ impl Default for RuntimeOptions {
             kills: Vec::new(),
             detection: None,
             wire: WireRtConfig::default(),
-            batch: false,
         }
     }
 }
@@ -611,8 +605,7 @@ impl LocalDeployment {
                 .map(|reg| RtSvcObs::new(reg, kind.name()));
             let runner = ReplicaRunner {
                 kind,
-                socket: RtSocket::new(Arc::new(socket), Ep::Svc(kind), net.clone())
-                    .with_batch(opts.batch),
+                socket: RtSocket::new(Arc::new(socket), Ep::Svc(kind), net.clone()),
                 next,
                 sift_addr,
                 ctx: ctx.clone(),
@@ -778,7 +771,7 @@ impl LocalDeployment {
         let _ = runner
             .socket
             .set_read_timeout(Some(Duration::from_millis(5)));
-        let mut buf = vec![0u8; 65_536];
+        let mut buf = vec![0u8; MAX_DATAGRAM];
         let t_end = Instant::now() + recovery;
         while Instant::now() < t_end && !self.shutdown.load(Ordering::Relaxed) {
             match runner.socket.recv_from(&mut buf) {
@@ -894,7 +887,7 @@ impl LocalDeployment {
         // each completed result (the client hears about its own frames),
         // re-keyed automatically when acks stop coming.
         let mut uplink = opts.wire.v2.then(|| UplinkTx::new(opts.wire.policy));
-        let mut buf = vec![0u8; 65_536];
+        let mut buf = vec![0u8; MAX_DATAGRAM];
         let mut completed = 0u32;
         let mut e2e = Vec::new();
         let mut recognitions: HashMap<String, u32> = HashMap::new();

@@ -40,7 +40,6 @@ use simcore::SimRng;
 use simnet::GilbertElliott;
 
 use crate::message::ServiceKind;
-use crate::runtime::batch::{self, RecvBatch};
 
 /// One endpoint class of a runtime link. All clients share a class:
 /// impairment profiles describe *links*, not individual phones.
@@ -520,19 +519,11 @@ pub struct RtSocket {
     sock: Arc<UdpSocket>,
     ep: Ep,
     net: Option<Arc<ImpairedNet>>,
-    /// Syscall batching (`recvmmsg`/`sendmmsg` via [`batch`]); off =
-    /// bit-compatible single-datagram I/O.
-    batched: bool,
 }
 
 impl RtSocket {
     pub fn new(sock: Arc<UdpSocket>, ep: Ep, net: Option<Arc<ImpairedNet>>) -> RtSocket {
-        RtSocket {
-            sock,
-            ep,
-            net,
-            batched: false,
-        }
+        RtSocket { sock, ep, net }
     }
 
     /// An unimpaired socket (tests, default wiring).
@@ -541,25 +532,7 @@ impl RtSocket {
             sock: Arc::new(sock),
             ep,
             net: None,
-            batched: false,
         }
-    }
-
-    /// Enable syscall batching on this socket's receive and send paths.
-    pub fn with_batch(mut self, on: bool) -> RtSocket {
-        self.batched = on;
-        self
-    }
-
-    pub fn batched(&self) -> bool {
-        self.batched
-    }
-
-    /// Drain up to one batch of datagrams in a single wakeup (the batch
-    /// itself carries the single-vs-batched mode; see
-    /// [`RecvBatch::recv`]).
-    pub fn recv_batch(&self, batch: &mut RecvBatch) -> std::io::Result<usize> {
-        batch.recv(&self.sock)
     }
 
     pub fn endpoint(&self) -> Ep {
@@ -592,11 +565,6 @@ impl RtSocket {
             Some(net) => net.admit(self.ep, to, datagram),
             None => Verdict::Pass,
         };
-        self.dispatch(verdict, datagram, to)
-    }
-
-    /// Execute a verdict the shim already rendered for this datagram.
-    fn dispatch(&self, verdict: Verdict, datagram: &[u8], to: SocketAddr) -> SendDisposition {
         match verdict {
             Verdict::Dropped => SendDisposition::ShimDropped,
             Verdict::Delayed => SendDisposition::Sent,
@@ -636,36 +604,13 @@ impl RtSocket {
         }
     }
 
-    /// Ship a message's fragments in one call, preserving the shim's
-    /// per-datagram verdict stream (decisions are drawn in datagram
-    /// order, exactly as the sequential loop would). Runs of consecutive
-    /// `Pass` verdicts go to the wire through one `sendmmsg` when
-    /// batching is on; every other verdict is executed in place so
-    /// chaos/wire schedules hold bit-for-bit.
+    /// Ship a message's fragments, one [`RtSocket::send_to`] each, in
+    /// order: the shim draws its verdicts in datagram order.
     pub fn send_many(&self, datagrams: &[Bytes], to: SocketAddr) -> BatchSendReport {
         let mut rep = BatchSendReport::default();
-        if !self.batched || datagrams.len() <= 1 {
-            for d in datagrams {
-                rep.count(self.send_to(d, to));
-            }
-            return rep;
-        }
-        let mut run: Vec<&[u8]> = Vec::with_capacity(datagrams.len());
         for d in datagrams {
-            let verdict = match &self.net {
-                Some(net) => net.admit(self.ep, to, d),
-                None => Verdict::Pass,
-            };
-            if verdict == Verdict::Pass {
-                run.push(d);
-                continue;
-            }
-            // A non-Pass verdict breaks the run: flush what queued up
-            // (order on the wire = offer order), then execute it.
-            rep.errors += flush_run(&self.sock, &mut run, to);
-            rep.count(self.dispatch(verdict, d, to));
+            rep.count(self.send_to(d, to));
         }
-        rep.errors += flush_run(&self.sock, &mut run, to);
         rep
     }
 }
@@ -686,17 +631,6 @@ impl BatchSendReport {
             SendDisposition::Error => self.errors += 1,
         }
     }
-}
-
-/// Ship a run of already-admitted datagrams through one `sendmmsg` (or
-/// the sequential fallback); returns the per-datagram error count.
-fn flush_run(sock: &UdpSocket, run: &mut Vec<&[u8]>, to: SocketAddr) -> usize {
-    if run.is_empty() {
-        return 0;
-    }
-    let errors = batch::send_many(sock, run, to);
-    run.clear();
-    errors
 }
 
 #[cfg(test)]

@@ -15,11 +15,10 @@ use vision::ReferenceDb;
 
 use crate::message::ServiceKind;
 use crate::obs::RtSvcObs;
-use crate::runtime::batch::RecvBatch;
 use crate::runtime::impair::RtSocket;
 use crate::runtime::wire::{
     self, decode_frame, decode_state, encode_frame, encode_result, encode_state, FrameKey,
-    FrameState, Reassembler, WireError, WireMsg,
+    FrameState, Reassembler, WireError, WireMsg, MAX_DATAGRAM,
 };
 use crate::wirev2::{self, DeltaRx, FrameKind, IngestError, RxState, UplinkPolicy};
 
@@ -198,9 +197,6 @@ pub fn send_msg_wire(
 
 /// The one place datagrams meet the socket: per-datagram send-error
 /// accounting and offered-bytes counting (see [`SvcStats::bytes_sent`]).
-/// On a batch-enabled socket, multi-fragment messages ship runs of
-/// shim-passed datagrams through one `sendmmsg`; accounting is
-/// per-datagram either way.
 fn send_datagrams(
     socket: &RtSocket,
     to: SocketAddr,
@@ -388,10 +384,7 @@ pub fn run_service(
     let mut reassembler = Reassembler::new();
     let mut rx = RxState::new();
     let mut rng = SimRng::new(rng_seed);
-    // One wakeup drains up to a whole batch of datagrams (a single
-    // recvmmsg on a batch-enabled socket; exactly one recv_from
-    // otherwise — the bit-compatible legacy path).
-    let mut batch = RecvBatch::new(socket.batched());
+    let mut buf = vec![0u8; MAX_DATAGRAM];
     // matching keeps per-client track tables: the "(ii) tracking them
     // across multiple frames" half of the pipeline's core operation —
     // plus a per-track pose filter that smooths the rendered overlay.
@@ -402,179 +395,180 @@ pub fn run_service(
     // keyframe (deltas until then drop counted, never mis-splice).
     let mut delta_rx: HashMap<u16, DeltaRx> = HashMap::new();
     while !shutdown.load(Ordering::Relaxed) && fault.current() == my_gen {
-        if let Err(e) = socket.recv_batch(&mut batch) {
-            if is_would_block(&e) {
-                // Quiet socket: still age out (and attribute) partial
-                // messages that will never complete.
-                attribute_evictions(&mut reassembler, ctx.epoch, &tracer, &stats, obs.as_ref());
-            } else {
-                stats.io_errors.fetch_add(1, Ordering::Relaxed);
-                if let Some(o) = &obs {
-                    o.io_errors.inc();
+        let dgram = match socket.recv_from(&mut buf) {
+            Ok((n, _from)) => &buf[..n],
+            Err(e) => {
+                if is_would_block(&e) {
+                    // Quiet socket: still age out (and attribute) partial
+                    // messages that will never complete.
+                    attribute_evictions(&mut reassembler, ctx.epoch, &tracer, &stats, obs.as_ref());
+                } else {
+                    stats.io_errors.fetch_add(1, Ordering::Relaxed);
+                    if let Some(o) = &obs {
+                        o.io_errors.inc();
+                    }
+                    std::thread::sleep(Duration::from_millis(1));
                 }
-                std::thread::sleep(Duration::from_millis(1));
+                continue;
             }
+        };
+        let frag = match rx.ingest(dgram) {
+            Ok(frag) => frag,
+            Err(e) => {
+                attribute_ingest_error(e, ctx.epoch, &tracer, &stats, obs.as_ref());
+                continue;
+            }
+        };
+        let completed = reassembler.offer(frag);
+        // Attribute frames the reassembler gave up on (lost fragment).
+        attribute_evictions(&mut reassembler, ctx.epoch, &tracer, &stats, obs.as_ref());
+        if let Some(o) = &obs {
+            o.reassembly_pending.set(reassembler.pending_count() as f64);
+        }
+        let Some(msg) = completed else {
+            continue;
+        };
+        // Post-reassembly v2 reconstruction: decompression first …
+        let (mut msg, meta) = match rx.finish(msg) {
+            Ok(x) => x,
+            Err(_) => {
+                stats.malformed.fetch_add(1, Ordering::Relaxed);
+                if let Some(o) = &obs {
+                    o.malformed.inc();
+                }
+                continue;
+            }
+        };
+        stats.received.fetch_add(1, Ordering::Relaxed);
+        if let Some(o) = &obs {
+            o.ingress.inc();
+        }
+        let tctx = msg.trace_ctx();
+        let recv_ns = epoch_ns(ctx.epoch);
+        // Previous hop's send → this service's reassembled receive:
+        // loopback transit plus socket buffer wait.
+        tracer.span(
+            tctx,
+            track,
+            stage,
+            trace::Phase::IngressQueue,
+            (msg.sent_micros * 1_000).min(recv_ns),
+            recv_ns,
+        );
+        // … then delta reconstruction (primary's uplink only): splice
+        // the delta onto its keyframe anchor, or drop for resync when
+        // the anchor is gone. The reconstructed payload is byte-equal
+        // to the full stream the client would have sent.
+        if kind == ServiceKind::Primary && meta.kind != FrameKind::Plain {
+            match delta_rx.entry(msg.client).or_default().accept_frame(
+                meta.kind,
+                meta.base_frame_no,
+                msg.frame_no,
+                msg.payload.clone(),
+            ) {
+                Some(full) => msg.payload = full,
+                None => {
+                    stats.delta_resync.fetch_add(1, Ordering::Relaxed);
+                    if let Some(o) = &obs {
+                        o.delta_resync.inc();
+                    }
+                    tracer.terminal(
+                        tctx,
+                        epoch_ns(ctx.epoch),
+                        trace::FrameFate::Dropped(trace::DropReason::DeltaResync),
+                    );
+                    continue;
+                }
+            }
+        }
+        // Sidecar staleness filter: do not spend compute on frames that
+        // can no longer meet the latency budget.
+        if ctx.threshold_ms > 0.0 && msg.age_ms(ctx.epoch) > ctx.threshold_ms {
+            stats.dropped_stale.fetch_add(1, Ordering::Relaxed);
+            if let Some(o) = &obs {
+                o.drop_stale.inc();
+            }
+            tracer.terminal(
+                tctx,
+                epoch_ns(ctx.epoch),
+                trace::FrameFate::Dropped(trace::DropReason::ThresholdFilter),
+            );
             continue;
         }
-        for dgram in batch.iter() {
-            let frag = match rx.ingest(dgram) {
-                Ok(frag) => frag,
-                Err(e) => {
-                    attribute_ingest_error(e, ctx.epoch, &tracer, &stats, obs.as_ref());
-                    continue;
+        let pt = ctx.prof.enter(PH_RT_COMPUTE);
+        let out = process(kind, &msg, &ctx, &mut rng, &mut tracks, &mut filters);
+        ctx.prof.exit(PH_RT_COMPUTE, pt);
+        let out = match out {
+            Ok(out) => Some(out),
+            Err(_) => {
+                // Payload decoded fine at the wire layer but failed the
+                // stage's typed decode: counted like any malformed input.
+                stats.malformed.fetch_add(1, Ordering::Relaxed);
+                if let Some(o) = &obs {
+                    o.malformed.inc();
                 }
-            };
-            let completed = reassembler.offer(frag);
-            // Attribute frames the reassembler gave up on (lost fragment).
-            attribute_evictions(&mut reassembler, ctx.epoch, &tracer, &stats, obs.as_ref());
-            if let Some(o) = &obs {
-                o.reassembly_pending.set(reassembler.pending_count() as f64);
+                None
             }
-            let Some(msg) = completed else {
-                continue;
+        };
+        if let Some(out) = out {
+            let done_ns = epoch_ns(ctx.epoch);
+            tracer.span(tctx, track, stage, trace::Phase::Compute, recv_ns, done_ns);
+            let fwd = WireMsg {
+                client: msg.client,
+                frame_no: msg.frame_no,
+                step: kind.next().unwrap_or(ServiceKind::Primary),
+                emit_micros: msg.emit_micros,
+                return_port: msg.return_port,
+                trace_id: msg.trace_id,
+                flags: msg.flags,
+                // Re-stamped per hop: the next service's ingress-queue
+                // span starts where this compute span ends. Rounded
+                // *up* so the truncated stamp can never precede this
+                // hop's span end (the trace overlap invariant).
+                sent_micros: done_ns.div_ceil(1_000),
+                payload: out,
             };
-            // Post-reassembly v2 reconstruction: decompression first …
-            let (mut msg, meta) = match rx.finish(msg) {
-                Ok(x) => x,
-                Err(_) => {
-                    stats.malformed.fetch_add(1, Ordering::Relaxed);
-                    if let Some(o) = &obs {
-                        o.malformed.inc();
-                    }
-                    continue;
-                }
-            };
-            stats.received.fetch_add(1, Ordering::Relaxed);
+            stats.processed.fetch_add(1, Ordering::Relaxed);
             if let Some(o) = &obs {
-                o.ingress.inc();
+                o.processed.inc();
+                o.latency_ms
+                    .record(done_ns.saturating_sub(recv_ns) as f64 / 1e6);
             }
-            let tctx = msg.trace_ctx();
-            let recv_ns = epoch_ns(ctx.epoch);
-            // Previous hop's send → this service's reassembled receive:
-            // loopback transit plus socket buffer wait.
-            tracer.span(
-                tctx,
-                track,
-                stage,
-                trace::Phase::IngressQueue,
-                (msg.sent_micros * 1_000).min(recv_ns),
-                recv_ns,
+            // matching delivers to the frame's own return address.
+            let next = if kind == ServiceKind::Matching {
+                SocketAddr::from(([127, 0, 0, 1], msg.return_port))
+            } else {
+                next
+            };
+            if kind == ServiceKind::Matching {
+                stats.tracks_active.store(
+                    tracks.values().map(|t| t.len() as u64).sum(),
+                    Ordering::Relaxed,
+                );
+                stats
+                    .tracks_retired
+                    .store(tracks.values().map(|t| t.retired).sum(), Ordering::Relaxed);
+            }
+            let pt = ctx.prof.enter(PH_RT_SEND);
+            let outcome = send_msg_wire(
+                &socket,
+                next,
+                &fwd,
+                &ctx.wire,
+                FrameKind::Plain,
+                0,
+                &stats,
+                obs.as_ref(),
             );
-            // … then delta reconstruction (primary's uplink only): splice
-            // the delta onto its keyframe anchor, or drop for resync when
-            // the anchor is gone. The reconstructed payload is byte-equal
-            // to the full stream the client would have sent.
-            if kind == ServiceKind::Primary && meta.kind != FrameKind::Plain {
-                match delta_rx.entry(msg.client).or_default().accept_frame(
-                    meta.kind,
-                    meta.base_frame_no,
-                    msg.frame_no,
-                    msg.payload.clone(),
-                ) {
-                    Some(full) => msg.payload = full,
-                    None => {
-                        stats.delta_resync.fetch_add(1, Ordering::Relaxed);
-                        if let Some(o) = &obs {
-                            o.delta_resync.inc();
-                        }
-                        tracer.terminal(
-                            tctx,
-                            epoch_ns(ctx.epoch),
-                            trace::FrameFate::Dropped(trace::DropReason::DeltaResync),
-                        );
-                        continue;
-                    }
-                }
-            }
-            // Sidecar staleness filter: do not spend compute on frames that
-            // can no longer meet the latency budget.
-            if ctx.threshold_ms > 0.0 && msg.age_ms(ctx.epoch) > ctx.threshold_ms {
-                stats.dropped_stale.fetch_add(1, Ordering::Relaxed);
-                if let Some(o) = &obs {
-                    o.drop_stale.inc();
-                }
-                tracer.terminal(
-                    tctx,
-                    epoch_ns(ctx.epoch),
-                    trace::FrameFate::Dropped(trace::DropReason::ThresholdFilter),
-                );
-                continue;
-            }
-            let pt = ctx.prof.enter(PH_RT_COMPUTE);
-            let out = process(kind, &msg, &ctx, &mut rng, &mut tracks, &mut filters);
-            ctx.prof.exit(PH_RT_COMPUTE, pt);
-            let out = match out {
-                Ok(out) => Some(out),
-                Err(_) => {
-                    // Payload decoded fine at the wire layer but failed the
-                    // stage's typed decode: counted like any malformed input.
-                    stats.malformed.fetch_add(1, Ordering::Relaxed);
-                    if let Some(o) = &obs {
-                        o.malformed.inc();
-                    }
-                    None
-                }
-            };
-            if let Some(out) = out {
-                let done_ns = epoch_ns(ctx.epoch);
-                tracer.span(tctx, track, stage, trace::Phase::Compute, recv_ns, done_ns);
-                let fwd = WireMsg {
-                    client: msg.client,
-                    frame_no: msg.frame_no,
-                    step: kind.next().unwrap_or(ServiceKind::Primary),
-                    emit_micros: msg.emit_micros,
-                    return_port: msg.return_port,
-                    trace_id: msg.trace_id,
-                    flags: msg.flags,
-                    // Re-stamped per hop: the next service's ingress-queue
-                    // span starts where this compute span ends. Rounded
-                    // *up* so the truncated stamp can never precede this
-                    // hop's span end (the trace overlap invariant).
-                    sent_micros: done_ns.div_ceil(1_000),
-                    payload: out,
-                };
-                stats.processed.fetch_add(1, Ordering::Relaxed);
-                if let Some(o) = &obs {
-                    o.processed.inc();
-                    o.latency_ms
-                        .record(done_ns.saturating_sub(recv_ns) as f64 / 1e6);
-                }
-                // matching delivers to the frame's own return address.
-                let next = if kind == ServiceKind::Matching {
-                    SocketAddr::from(([127, 0, 0, 1], msg.return_port))
-                } else {
-                    next
-                };
-                if kind == ServiceKind::Matching {
-                    stats.tracks_active.store(
-                        tracks.values().map(|t| t.len() as u64).sum(),
-                        Ordering::Relaxed,
-                    );
-                    stats
-                        .tracks_retired
-                        .store(tracks.values().map(|t| t.retired).sum(), Ordering::Relaxed);
-                }
-                let pt = ctx.prof.enter(PH_RT_SEND);
-                let outcome = send_msg_wire(
-                    &socket,
-                    next,
-                    &fwd,
-                    &ctx.wire,
-                    FrameKind::Plain,
-                    0,
-                    &stats,
-                    obs.as_ref(),
-                );
-                ctx.prof.exit(PH_RT_SEND, pt);
-                attribute_net_drop(
-                    outcome,
-                    tctx,
-                    epoch_ns(ctx.epoch),
-                    &tracer,
-                    &stats,
-                    obs.as_ref(),
-                );
-            }
+            ctx.prof.exit(PH_RT_SEND, pt);
+            attribute_net_drop(
+                outcome,
+                tctx,
+                epoch_ns(ctx.epoch),
+                &tracer,
+                &stats,
+                obs.as_ref(),
+            );
         }
     }
     ExitReport {

@@ -34,7 +34,6 @@ use simcore::SimRng;
 
 use crate::message::ServiceKind;
 use crate::obs::RtSvcObs;
-use crate::runtime::batch::RecvBatch;
 use crate::runtime::impair::{RtSocket, SendDisposition};
 use crate::runtime::services::{
     attribute_evictions, attribute_net_drop, epoch_ns, is_would_block, send_msg_obs, send_msg_wire,
@@ -42,7 +41,7 @@ use crate::runtime::services::{
 };
 use crate::runtime::wire::{
     self, decode_frame, decode_state, encode_result, encode_state, FrameKey, FrameState,
-    Reassembler, WireMsg,
+    Reassembler, WireMsg, MAX_DATAGRAM,
 };
 use crate::wirev2::{FrameKind, RxState};
 
@@ -156,9 +155,7 @@ pub fn run_stateful_sift(
         .expect("set_read_timeout");
     let mut reassembler = Reassembler::new();
     let mut rx = RxState::new();
-    // One wakeup drains up to a whole batch of datagrams (single
-    // recvmmsg when batching is on; one recv_from otherwise).
-    let mut batch = RecvBatch::new(socket.batched());
+    let mut buf = vec![0u8; MAX_DATAGRAM];
     let mut store: HashMap<(u16, u32), StoredState> = HashMap::new();
     while !shutdown.load(Ordering::Relaxed) && fault.current() == my_gen {
         // TTL sweep: unfetched entries age out after `state_ttl`; served
@@ -173,169 +170,170 @@ pub fn run_stateful_sift(
             o.state_store.set(store.len() as f64);
         }
 
-        if let Err(e) = socket.recv_batch(&mut batch) {
-            if is_would_block(&e) {
-                attribute_evictions(&mut reassembler, ctx.epoch, &tracer, &stats, obs.as_ref());
-            } else {
-                stats.io_errors.fetch_add(1, Ordering::Relaxed);
-                if let Some(o) = &obs {
-                    o.io_errors.inc();
+        let dgram = match socket.recv_from(&mut buf) {
+            Ok((n, _from)) => &buf[..n],
+            Err(e) => {
+                if is_would_block(&e) {
+                    attribute_evictions(&mut reassembler, ctx.epoch, &tracer, &stats, obs.as_ref());
+                } else {
+                    stats.io_errors.fetch_add(1, Ordering::Relaxed);
+                    if let Some(o) = &obs {
+                        o.io_errors.inc();
+                    }
+                    std::thread::sleep(Duration::from_millis(1));
                 }
-                std::thread::sleep(Duration::from_millis(1));
+                continue;
+            }
+        };
+        // Control datagrams (fetch requests) are not fragmented.
+        if !dgram.is_empty() && dgram[0] == CTRL_FETCH_REQ {
+            if let Some((client, frame_no, reply_port)) =
+                decode_fetch_req(Bytes::copy_from_slice(dgram))
+            {
+                if let Some(entry) = store.get_mut(&(client, frame_no)) {
+                    // Serve WITHOUT removing: mark served and let the
+                    // linger sweep reclaim it, so a retransmitted
+                    // request after a lost response still succeeds.
+                    entry.served_at.get_or_insert_with(Instant::now);
+                    let rsp = WireMsg {
+                        client,
+                        frame_no,
+                        step: ServiceKind::Matching,
+                        emit_micros: 0,
+                        return_port: 0,
+                        // Fetch responses ride inside matching's
+                        // FetchWait span; they carry identity only.
+                        trace_id: ((client as u64) << 32) | frame_no as u64,
+                        flags: wire::FLAG_CTRL,
+                        sent_micros: 0,
+                        payload: encode_fetch_rsp(&entry.state),
+                    };
+                    let to = SocketAddr::from(([127, 0, 0, 1], reply_port));
+                    // Control traffic: a shim-eaten response is NOT a
+                    // frame terminal — matching retransmits, and the
+                    // frame's fate is decided there.
+                    let _ = send_msg_obs(&socket, to, &rsp, &stats, obs.as_ref());
+                }
             }
             continue;
         }
-        for dgram in batch.iter() {
-            // Control datagrams (fetch requests) are not fragmented.
-            if !dgram.is_empty() && dgram[0] == CTRL_FETCH_REQ {
-                if let Some((client, frame_no, reply_port)) =
-                    decode_fetch_req(Bytes::copy_from_slice(dgram))
-                {
-                    if let Some(entry) = store.get_mut(&(client, frame_no)) {
-                        // Serve WITHOUT removing: mark served and let the
-                        // linger sweep reclaim it, so a retransmitted
-                        // request after a lost response still succeeds.
-                        entry.served_at.get_or_insert_with(Instant::now);
-                        let rsp = WireMsg {
-                            client,
-                            frame_no,
-                            step: ServiceKind::Matching,
-                            emit_micros: 0,
-                            return_port: 0,
-                            // Fetch responses ride inside matching's
-                            // FetchWait span; they carry identity only.
-                            trace_id: ((client as u64) << 32) | frame_no as u64,
-                            flags: wire::FLAG_CTRL,
-                            sent_micros: 0,
-                            payload: encode_fetch_rsp(&entry.state),
-                        };
-                        let to = SocketAddr::from(([127, 0, 0, 1], reply_port));
-                        // Control traffic: a shim-eaten response is NOT a
-                        // frame terminal — matching retransmits, and the
-                        // frame's fate is decided there.
-                        let _ = send_msg_obs(&socket, to, &rsp, &stats, obs.as_ref());
-                    }
-                }
+        let frag = match rx.ingest(dgram) {
+            Ok(frag) => frag,
+            Err(e) => {
+                crate::runtime::services::attribute_ingest_error(
+                    e,
+                    ctx.epoch,
+                    &tracer,
+                    &stats,
+                    obs.as_ref(),
+                );
                 continue;
             }
-            let frag = match rx.ingest(dgram) {
-                Ok(frag) => frag,
-                Err(e) => {
-                    crate::runtime::services::attribute_ingest_error(
-                        e,
-                        ctx.epoch,
-                        &tracer,
-                        &stats,
-                        obs.as_ref(),
-                    );
-                    continue;
-                }
-            };
-            let completed = reassembler.offer(frag);
-            attribute_evictions(&mut reassembler, ctx.epoch, &tracer, &stats, obs.as_ref());
-            if let Some(o) = &obs {
-                o.reassembly_pending.set(reassembler.pending_count() as f64);
-            }
-            let Some(msg) = completed else {
-                continue;
-            };
-            let (msg, _meta) = match rx.finish(msg) {
-                Ok(x) => x,
-                Err(_) => {
-                    stats.malformed.fetch_add(1, Ordering::Relaxed);
-                    if let Some(o) = &obs {
-                        o.malformed.inc();
-                    }
-                    continue;
-                }
-            };
-            stats.received.fetch_add(1, Ordering::Relaxed);
-            if let Some(o) = &obs {
-                o.ingress.inc();
-            }
-            let tctx = msg.trace_ctx();
-            let recv_ns = epoch_ns(ctx.epoch);
-            tracer.span(
-                tctx,
-                track,
-                stage,
-                trace::Phase::IngressQueue,
-                (msg.sent_micros * 1_000).min(recv_ns),
-                recv_ns,
-            );
-            let Ok(img) = decode_frame(msg.payload.clone()) else {
+        };
+        let completed = reassembler.offer(frag);
+        attribute_evictions(&mut reassembler, ctx.epoch, &tracer, &stats, obs.as_ref());
+        if let Some(o) = &obs {
+            o.reassembly_pending.set(reassembler.pending_count() as f64);
+        }
+        let Some(msg) = completed else {
+            continue;
+        };
+        let (msg, _meta) = match rx.finish(msg) {
+            Ok(x) => x,
+            Err(_) => {
                 stats.malformed.fetch_add(1, Ordering::Relaxed);
                 if let Some(o) = &obs {
                     o.malformed.inc();
                 }
                 continue;
-            };
-            let pt = ctx.prof.enter(PH_RT_COMPUTE);
-            let descriptors = sift_descriptors(&img, ctx.max_descriptors);
-            ctx.prof.exit(PH_RT_COMPUTE, pt);
-            // Park the real state; forward a stub so downstream stages can
-            // still compute the Fisher/LSH path... which needs descriptors.
-            // Like the real scAtteR, the compact representation (descriptors
-            // for encoding) flows on, but the *frame correlation data* that
-            // matching needs stays here. We model that split by forwarding
-            // descriptors (compact) and parking the full state (descriptors +
-            // provenance) for matching's pose step.
-            let state = FrameState {
-                descriptors: descriptors.clone(),
+            }
+        };
+        stats.received.fetch_add(1, Ordering::Relaxed);
+        if let Some(o) = &obs {
+            o.ingress.inc();
+        }
+        let tctx = msg.trace_ctx();
+        let recv_ns = epoch_ns(ctx.epoch);
+        tracer.span(
+            tctx,
+            track,
+            stage,
+            trace::Phase::IngressQueue,
+            (msg.sent_micros * 1_000).min(recv_ns),
+            recv_ns,
+        );
+        let Ok(img) = decode_frame(msg.payload.clone()) else {
+            stats.malformed.fetch_add(1, Ordering::Relaxed);
+            if let Some(o) = &obs {
+                o.malformed.inc();
+            }
+            continue;
+        };
+        let pt = ctx.prof.enter(PH_RT_COMPUTE);
+        let descriptors = sift_descriptors(&img, ctx.max_descriptors);
+        ctx.prof.exit(PH_RT_COMPUTE, pt);
+        // Park the real state; forward a stub so downstream stages can
+        // still compute the Fisher/LSH path... which needs descriptors.
+        // Like the real scAtteR, the compact representation (descriptors
+        // for encoding) flows on, but the *frame correlation data* that
+        // matching needs stays here. We model that split by forwarding
+        // descriptors (compact) and parking the full state (descriptors +
+        // provenance) for matching's pose step.
+        let state = FrameState {
+            descriptors: descriptors.clone(),
+            fisher: Vec::new(),
+            candidates: Vec::new(),
+        };
+        store.insert(
+            (msg.client, msg.frame_no),
+            StoredState {
+                state,
+                stored_at: Instant::now(),
+                served_at: None,
+            },
+        );
+        store_size.store(store.len() as u64, Ordering::Relaxed);
+        let done_ns = epoch_ns(ctx.epoch);
+        tracer.span(tctx, track, stage, trace::Phase::Compute, recv_ns, done_ns);
+        let fwd = WireMsg {
+            client: msg.client,
+            frame_no: msg.frame_no,
+            step: ServiceKind::Encoding,
+            emit_micros: msg.emit_micros,
+            return_port: msg.return_port,
+            trace_id: msg.trace_id,
+            flags: msg.flags,
+            sent_micros: done_ns.div_ceil(1_000),
+            payload: encode_state(&FrameState {
+                descriptors,
                 fisher: Vec::new(),
                 candidates: Vec::new(),
-            };
-            store.insert(
-                (msg.client, msg.frame_no),
-                StoredState {
-                    state,
-                    stored_at: Instant::now(),
-                    served_at: None,
-                },
-            );
-            store_size.store(store.len() as u64, Ordering::Relaxed);
-            let done_ns = epoch_ns(ctx.epoch);
-            tracer.span(tctx, track, stage, trace::Phase::Compute, recv_ns, done_ns);
-            let fwd = WireMsg {
-                client: msg.client,
-                frame_no: msg.frame_no,
-                step: ServiceKind::Encoding,
-                emit_micros: msg.emit_micros,
-                return_port: msg.return_port,
-                trace_id: msg.trace_id,
-                flags: msg.flags,
-                sent_micros: done_ns.div_ceil(1_000),
-                payload: encode_state(&FrameState {
-                    descriptors,
-                    fisher: Vec::new(),
-                    candidates: Vec::new(),
-                }),
-            };
-            stats.processed.fetch_add(1, Ordering::Relaxed);
-            if let Some(o) = &obs {
-                o.processed.inc();
-                o.latency_ms
-                    .record(done_ns.saturating_sub(recv_ns) as f64 / 1e6);
-            }
-            let outcome = send_msg_wire(
-                &socket,
-                next,
-                &fwd,
-                &ctx.wire,
-                FrameKind::Plain,
-                0,
-                &stats,
-                obs.as_ref(),
-            );
-            attribute_net_drop(
-                outcome,
-                tctx,
-                epoch_ns(ctx.epoch),
-                &tracer,
-                &stats,
-                obs.as_ref(),
-            );
+            }),
+        };
+        stats.processed.fetch_add(1, Ordering::Relaxed);
+        if let Some(o) = &obs {
+            o.processed.inc();
+            o.latency_ms
+                .record(done_ns.saturating_sub(recv_ns) as f64 / 1e6);
         }
+        let outcome = send_msg_wire(
+            &socket,
+            next,
+            &fwd,
+            &ctx.wire,
+            FrameKind::Plain,
+            0,
+            &stats,
+            obs.as_ref(),
+        );
+        attribute_net_drop(
+            outcome,
+            tctx,
+            epoch_ns(ctx.epoch),
+            &tracer,
+            &stats,
+            obs.as_ref(),
+        );
     }
     // Half-reassembled frames die with the thread; parked *store*
     // entries are NOT reported — their frames are still alive downstream
@@ -371,10 +369,8 @@ pub fn run_stateful_matching(
     let mut reassembler = Reassembler::new();
     let mut rx = RxState::new();
     let mut rng = SimRng::new(rng_seed);
-    // Main-loop wakeups drain a whole batch; the fetch-wait below stays
-    // single-datagram (it polls for one control response on a deadline).
-    let mut batch = RecvBatch::new(socket.batched());
-    let mut buf = vec![0u8; 65_536];
+    // One receive buffer for the main loop and the fetch-wait below.
+    let mut buf = vec![0u8; MAX_DATAGRAM];
     let my_port = socket.local_addr().expect("local addr").port();
     // Frames that completed reassembly during a fetch-wait, awaiting
     // their own turn (the fix for the fetch-wait frame-swallowing bug).
@@ -387,61 +383,63 @@ pub fn run_stateful_matching(
         let msg = if let Some(m) = parked.pop_front() {
             m
         } else {
-            if let Err(e) = socket.recv_batch(&mut batch) {
-                if is_would_block(&e) {
-                    attribute_evictions(&mut reassembler, ctx.epoch, &tracer, &stats, obs.as_ref());
-                } else {
-                    stats.io_errors.fetch_add(1, Ordering::Relaxed);
-                    if let Some(o) = &obs {
-                        o.io_errors.inc();
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                continue;
-            }
-            // Every datagram of the wakeup goes through the same
-            // classification the single-datagram path used; completed
-            // frames queue in arrival order and are served one per loop
-            // turn (the first right now, the rest via `parked`).
-            for dgram in batch.iter() {
-                let frag = match rx.ingest(dgram) {
-                    Ok(frag) => frag,
-                    Err(e) => {
-                        crate::runtime::services::attribute_ingest_error(
-                            e,
+            let n = match socket.recv_from(&mut buf) {
+                Ok((n, _from)) => n,
+                Err(e) => {
+                    if is_would_block(&e) {
+                        attribute_evictions(
+                            &mut reassembler,
                             ctx.epoch,
                             &tracer,
                             &stats,
                             obs.as_ref(),
                         );
-                        continue;
+                    } else {
+                        stats.io_errors.fetch_add(1, Ordering::Relaxed);
+                        if let Some(o) = &obs {
+                            o.io_errors.inc();
+                        }
+                        std::thread::sleep(Duration::from_millis(1));
                     }
-                };
-                if frag.flags & wire::FLAG_CTRL != 0 {
+                    continue;
+                }
+            };
+            let completed = match rx.ingest(&buf[..n]) {
+                Err(e) => {
+                    crate::runtime::services::attribute_ingest_error(
+                        e,
+                        ctx.epoch,
+                        &tracer,
+                        &stats,
+                        obs.as_ref(),
+                    );
+                    None
+                }
+                Ok(frag) if frag.flags & wire::FLAG_CTRL != 0 => {
                     // A fetch response arriving after its wait gave up
                     // (StaleFetch already attributed). Count it — it must
                     // not enter the frame reassembler.
                     stats.late_fetch_rsp.fetch_add(1, Ordering::Relaxed);
-                    continue;
+                    None
                 }
-                let Some(completed) = reassembler.offer(frag) else {
-                    continue;
-                };
-                match rx.finish(completed) {
-                    Ok((m, _meta)) => parked.push_back(m),
-                    Err(_) => {
-                        stats.malformed.fetch_add(1, Ordering::Relaxed);
-                        if let Some(o) = &obs {
-                            o.malformed.inc();
-                        }
+                Ok(frag) => reassembler.offer(frag),
+            };
+            let arrived = match completed.map(|c| rx.finish(c)) {
+                Some(Ok((m, _meta))) => Some(m),
+                Some(Err(_)) => {
+                    stats.malformed.fetch_add(1, Ordering::Relaxed);
+                    if let Some(o) = &obs {
+                        o.malformed.inc();
                     }
+                    None
                 }
-            }
+                None => None,
+            };
             attribute_evictions(&mut reassembler, ctx.epoch, &tracer, &stats, obs.as_ref());
             if let Some(o) = &obs {
                 o.reassembly_pending.set(reassembler.pending_count() as f64);
             }
-            let Some(m) = parked.pop_front() else {
+            let Some(m) = arrived else {
                 continue;
             };
             m

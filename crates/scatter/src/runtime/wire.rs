@@ -18,6 +18,10 @@ use crate::message::ServiceKind;
 /// below to keep the format valid for real NICs too.
 pub const CHUNK_BYTES: usize = 32 * 1024;
 
+/// Receive buffer size on every runtime socket: any UDP datagram fits,
+/// so a full chunk plus its header is never truncated.
+pub const MAX_DATAGRAM: usize = 65_536;
+
 /// Magic tag guarding against stray datagrams.
 pub const MAGIC: u32 = 0x5343_4154; // "SCAT"
 

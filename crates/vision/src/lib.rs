@@ -32,8 +32,11 @@
 //! - [`codec`]: block-DCT intra-frame compression for the client uplink
 //!   (the compressed-vs-raw asymmetry behind fig. 11).
 //!
-//! Everything is deterministic given a seed; no SIMD/GPU so results are
-//! identical across hosts.
+//! Everything is deterministic given a seed. The kernels are compiled
+//! for the host's vector ISA, and their output bits are still identical
+//! across hosts: every element sees the same IEEE operations in the same
+//! order at any lane width (DESIGN.md §17), which
+//! `tests/isa_digest.rs` pins.
 
 pub mod codec;
 pub mod db;

@@ -2,11 +2,13 @@
 # Alternating parent/change pairs of one benchmark workload: the protocol a
 # performance claim is judged by.
 #
-#   scripts/ab.sh <parent-rev> <workload> <pairs> [seeds]
+#   scripts/ab.sh [--patch FILE] <parent-rev> <workload> <pairs> [seeds]
 #
 # The parent revision is exported with `git archive` into a fresh
 # `mktemp -d` outside the repository (no worktree is registered, so an
-# interrupted run leaves nothing in .git). Cargo reads `.cargo/config.toml`
+# interrupted run leaves nothing in .git). `--patch FILE` then applies a
+# diff to that export (exit 2 if it does not apply), so a default flip
+# can be measured without committing it. Cargo reads `.cargo/config.toml`
 # from the directory it runs in and its ancestors, so each side's
 # `ledger/` binary is built with that side's tree as the working
 # directory, each into its own target dir: the parent with the parent's
@@ -17,11 +19,13 @@
 # `ledger run --workload W --seed S --seconds 25 --trace 0` from its own
 # tree's root. Prints, per end-to-end metric of BENCHMARK.json, the median
 # [q1, q3] of each side, the change, pairs won and whether the median gap
-# exceeds the parent's IQR, then every pair's values.
+# exceeds the parent's IQR, then every pair's values, then each side's
+# summed `failed`/`attempted` frames and failure share.
 #
-# Exits non-zero if a run exits non-zero or reports `correct: false`, or if
+# Exits non-zero if a run exits non-zero or reports `correct: false`, if
 # `wire_kb_per_frame` or the reported `recognitions` differ between any two
-# runs of one seed.
+# runs of one seed, or if the change fails a larger share of its attempted
+# frames than the parent (printed as WORSE FAILURE SHARE).
 #
 # AB_DIR (default target/ab) holds both target dirs, the build logs and
 # every run's output; AB_SECONDS (default 25) shortens the runs for a smoke
@@ -29,8 +33,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+patch=
+if [ "${1:-}" = --patch ] && [ $# -ge 2 ]; then
+    [ -f "$2" ] || { echo "ab: no such patch: $2" >&2; exit 2; }
+    patch=$(cd "$(dirname "$2")" && pwd)/$(basename "$2")
+    shift 2
+fi
 if [ $# -lt 3 ] || [ $# -gt 4 ]; then
-    echo "usage: $0 <parent-rev> <workload> <pairs> [seeds]" >&2
+    echo "usage: $0 [--patch FILE] <parent-rev> <workload> <pairs> [seeds]" >&2
     exit 2
 fi
 rev=$1 workload=$2 pairs=$3
@@ -44,6 +54,10 @@ parent=$(mktemp -d)
 trap 'rm -rf "$parent"' EXIT
 echo "==> exporting $rev to $parent" >&2
 git archive "$rev" | tar -x -C "$parent"
+if [ -n "$patch" ]; then
+    echo "==> applying $patch to the parent" >&2
+    (cd "$parent" && git apply "$patch") || { echo "ab: $patch does not apply to $rev" >&2; exit 2; }
+fi
 
 build() { # side tree
     local side=$1 tree=$2 log=$work/$1-build.log flags
@@ -92,10 +106,10 @@ for ((i = 0; i < pairs; i++)); do
     fi
 done
 
-python3 - "$runs" "$root/BENCHMARK.json" "$workload" <<'EOF'
+python3 - "$runs" "$root/BENCHMARK.json" "$workload" "$rev" "$patch" <<'EOF'
 import json, statistics, sys
 
-runs_path, bench_path, workload = sys.argv[1:]
+runs_path, bench_path, workload, rev, patch = sys.argv[1:]
 metrics = json.load(open(bench_path))["end_to_end"]
 runs, ok = [], True
 for line in open(runs_path):
@@ -110,7 +124,7 @@ for line in open(runs_path):
         print(f"FAILED: pair {pair} seed {seed} {side}: exit {status}, correct {obj.get('correct')}")
     values = {k: v["value"] for k, v in obj.get("metrics", {}).items()}
     runs.append(dict(side=side, pair=int(pair), seed=seed, values=values, recog=recog,
-                     failed=obj.get("failed")))
+                     failed=obj.get("failed"), attempted=obj.get("attempted")))
 
 def quartiles(xs):
     if len(xs) == 1:
@@ -120,6 +134,7 @@ def quartiles(xs):
 
 pairs = sorted({r["pair"] for r in runs})
 by = {(r["pair"], r["side"]): r for r in runs}
+print(f"parent: {rev}" + (f" + patch {patch}" if patch else "") + "; change: the working tree")
 print(f"{workload}: {len(pairs)} pairs, parent | change, median [q1, q3]")
 for m in metrics:
     name, lower = m["name"], m["better"] == "lower"
@@ -155,5 +170,15 @@ for seed in sorted({r["seed"] for r in runs}):
     if len([r for r in recog if r != "recognitions ?"]) > 1:
         ok = False
         print(f"FAILED: recognitions differ within seed {seed}")
+share = {}
+for side in ("parent", "change"):
+    mine = [r for r in runs if r["side"] == side]
+    failed = sum(r["failed"] or 0 for r in mine)
+    attempted = sum(r["attempted"] or 0 for r in mine)
+    share[side] = failed / attempted if attempted else float("nan")
+    print(f"{side}: failed {failed} / attempted {attempted} = failure share {share[side]:.6g}")
+if share["change"] > share["parent"]:
+    ok = False
+    print(f"WORSE FAILURE SHARE: change {share['change']:.6g} > parent {share['parent']:.6g}")
 sys.exit(0 if ok else 1)
 EOF

@@ -4,7 +4,7 @@
 //! stdout silently breaks every downstream plotting pipeline, so this is
 //! pinned by spawning the real binary.
 
-use std::process::Command;
+use std::process::{Command, Output};
 use std::sync::Mutex;
 
 /// Each test here spawns a full release study binary; the wire and
@@ -12,6 +12,36 @@ use std::sync::Mutex;
 /// concurrently on a small box starves their timing. One spawn at a
 /// time.
 static SPAWN: Mutex<()> = Mutex::new(());
+
+/// Lines of a child's stderr quoted in a failure message.
+const STDERR_TAIL: usize = 40;
+
+/// The child's exit status and the tail of its stderr, appended to every
+/// failure message: a child that panicked leaves its reason there.
+fn diag(out: &Output) -> String {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let lines: Vec<&str> = stderr.lines().collect();
+    let tail = &lines[lines.len().saturating_sub(STDERR_TAIL)..];
+    format!(
+        "child {}; stderr, last {} of {} lines:\n{}",
+        out.status,
+        tail.len(),
+        lines.len(),
+        tail.join("\n")
+    )
+}
+
+/// stdout parsed as exactly one JSON document (the table array).
+fn json_stdout(out: &Output) -> trace::json::Value {
+    let stdout = std::str::from_utf8(&out.stdout)
+        .unwrap_or_else(|e| panic!("stdout is not UTF-8 ({e})\n{}", diag(out)));
+    trace::json::Value::parse(stdout.trim()).unwrap_or_else(|e| {
+        panic!(
+            "stdout must parse as JSON — no warnings may leak into it ({e})\n{}",
+            diag(out)
+        )
+    })
+}
 
 #[test]
 fn invalid_env_warns_on_stderr_and_keeps_json_stdout_clean() {
@@ -22,26 +52,23 @@ fn invalid_env_warns_on_stderr_and_keeps_json_stdout_clean() {
         .env("SCATTER_JOBS", "banana") // invalid: must warn, not die
         .output()
         .expect("spawn telemetry bin");
-    let stderr = String::from_utf8_lossy(&out.stderr);
+    let (stderr, diag) = (String::from_utf8_lossy(&out.stderr), diag(&out));
     assert!(
         out.status.success(),
-        "telemetry --smoke --json failed: {:?}\nstderr: {stderr}",
-        out.status
+        "telemetry --smoke --json failed\n{diag}"
     );
 
     // stdout is exactly one JSON document (the table array).
-    let stdout = String::from_utf8(out.stdout).expect("stdout is UTF-8");
-    let v = trace::json::Value::parse(stdout.trim())
-        .expect("stdout must parse as JSON — no warnings may leak into it");
+    let v = json_stdout(&out);
     assert!(
         v.idx(0).and_then(|t| t.get("title")).is_some(),
-        "expected a non-empty array of tables"
+        "expected a non-empty array of tables\n{diag}"
     );
 
     // The warning fired, on stderr.
     assert!(
         stderr.contains("warning: invalid SCATTER_JOBS"),
-        "stderr missing the SCATTER_JOBS warning: {stderr}"
+        "stderr missing the SCATTER_JOBS warning\n{diag}"
     );
 }
 
@@ -58,28 +85,25 @@ fn invalid_heartbeat_env_warns_and_falls_back_to_defaults() {
         .env("SCATTER_HB_SUSPECT", "0.5") // invalid: factor must exceed 1
         .output()
         .expect("spawn resilience bin");
-    let stderr = String::from_utf8_lossy(&out.stderr);
+    let (stderr, diag) = (String::from_utf8_lossy(&out.stderr), diag(&out));
     assert!(
         out.status.success(),
-        "resilience --smoke --json failed under invalid env: {:?}\nstderr: {stderr}",
-        out.status
+        "resilience --smoke --json failed under invalid env\n{diag}"
     );
 
-    let stdout = String::from_utf8(out.stdout).expect("stdout is UTF-8");
-    let v = trace::json::Value::parse(stdout.trim())
-        .expect("stdout must parse as JSON — no warnings may leak into it");
+    let v = json_stdout(&out);
     assert!(
         v.idx(0).and_then(|t| t.get("title")).is_some(),
-        "expected a non-empty array of tables"
+        "expected a non-empty array of tables\n{diag}"
     );
 
     assert!(
         stderr.contains("warning: invalid SCATTER_HB_INTERVAL"),
-        "stderr missing the SCATTER_HB_INTERVAL warning: {stderr}"
+        "stderr missing the SCATTER_HB_INTERVAL warning\n{diag}"
     );
     assert!(
         stderr.contains("warning: invalid SCATTER_HB_SUSPECT"),
-        "stderr missing the SCATTER_HB_SUSPECT warning: {stderr}"
+        "stderr missing the SCATTER_HB_SUSPECT warning\n{diag}"
     );
 }
 
@@ -101,14 +125,12 @@ fn invalid_observatory_env_warns_once_and_falls_back() {
         .env("SCATTER_FLIGHTREC", "0") // invalid: capacity must be >= 1
         .output()
         .expect("spawn observatory bin");
-    let stderr = String::from_utf8_lossy(&out.stderr);
+    let (stderr, diag) = (String::from_utf8_lossy(&out.stderr), diag(&out));
 
-    let stdout = String::from_utf8(out.stdout).expect("stdout is UTF-8");
-    let v = trace::json::Value::parse(stdout.trim())
-        .expect("stdout must parse as JSON — no warnings may leak into it");
+    let v = json_stdout(&out);
     assert!(
         v.idx(0).and_then(|t| t.get("title")).is_some(),
-        "expected a non-empty array of tables"
+        "expected a non-empty array of tables\n{diag}"
     );
 
     for knob in ["SCATTER_OBS_SAMPLE", "SCATTER_FLIGHTREC"] {
@@ -116,7 +138,7 @@ fn invalid_observatory_env_warns_once_and_falls_back() {
         assert_eq!(
             stderr.matches(needle.as_str()).count(),
             1,
-            "{knob} warning must fire exactly once across every observed run: {stderr}"
+            "{knob} warning must fire exactly once across every observed run\n{diag}"
         );
     }
 }
@@ -134,20 +156,27 @@ fn invalid_run_cache_env_warns_once_and_keeps_the_cache_on() {
             .env("SCATTER_RUN_CACHE", cache)
             .output()
             .expect("spawn fig4 bin");
-        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
-        assert!(out.status.success(), "fig4 failed: {stderr}");
-        (
-            out.stdout,
-            stderr.matches("warning: invalid SCATTER_RUN_CACHE").count(),
-        )
+        let diag = format!("SCATTER_RUN_CACHE={cache}: {}", diag(&out));
+        assert!(out.status.success(), "fig4 failed\n{diag}");
+        let warnings = String::from_utf8_lossy(&out.stderr)
+            .matches("warning: invalid SCATTER_RUN_CACHE")
+            .count();
+        (out.stdout, warnings, diag)
     };
-    let (off, off_warnings) = fig4("0");
-    let (on, on_warnings) = fig4("1");
-    let (garbage, garbage_warnings) = fig4("off");
-    assert_eq!((off_warnings, on_warnings, garbage_warnings), (0, 0, 1));
-    assert!(!on.is_empty());
-    assert_eq!(garbage, on, "stdout must be the figure alone");
-    assert_eq!(off, on, "the cache never changes a figure");
+    let (off, off_warnings, off_diag) = fig4("0");
+    let (on, on_warnings, on_diag) = fig4("1");
+    let (garbage, garbage_warnings, garbage_diag) = fig4("off");
+    assert_eq!(
+        (off_warnings, on_warnings, garbage_warnings),
+        (0, 0, 1),
+        "\n{off_diag}\n{on_diag}\n{garbage_diag}"
+    );
+    assert!(!on.is_empty(), "\n{on_diag}");
+    assert_eq!(
+        garbage, on,
+        "stdout must be the figure alone\n{garbage_diag}"
+    );
+    assert_eq!(off, on, "the cache never changes a figure\n{off_diag}");
 }
 
 /// Same contract for the wire-policy knobs: garbage in
@@ -167,22 +196,20 @@ fn invalid_wire_env_warns_and_falls_back_to_defaults() {
         .env("SCATTER_WIRE_COMPRESS", "2") // invalid: want 0/1
         .output()
         .expect("spawn wire bin");
-    let stderr = String::from_utf8_lossy(&out.stderr);
+    let (stderr, diag) = (String::from_utf8_lossy(&out.stderr), diag(&out));
 
-    let stdout = String::from_utf8(out.stdout).expect("stdout is UTF-8");
-    let v = trace::json::Value::parse(stdout.trim())
-        .expect("stdout must parse as JSON — no warnings may leak into it");
+    let v = json_stdout(&out);
     assert!(
         v.idx(0).and_then(|t| t.get("title")).is_some(),
-        "expected a non-empty array of tables"
+        "expected a non-empty array of tables\n{diag}"
     );
 
     assert!(
         stderr.contains("warning: invalid SCATTER_WIRE_DELTA"),
-        "stderr missing the SCATTER_WIRE_DELTA warning: {stderr}"
+        "stderr missing the SCATTER_WIRE_DELTA warning\n{diag}"
     );
     assert!(
         stderr.contains("warning: invalid SCATTER_WIRE_COMPRESS"),
-        "stderr missing the SCATTER_WIRE_COMPRESS warning: {stderr}"
+        "stderr missing the SCATTER_WIRE_COMPRESS warning\n{diag}"
     );
 }
