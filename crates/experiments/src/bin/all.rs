@@ -19,11 +19,6 @@ fn main() {
         ("fig12", experiments::fig12_timeline::run_figure),
         ("headline", experiments::headline::run_figure),
         ("ablation", experiments::ablation::run_figure),
-        ("autoscale", experiments::autoscale_study::run_figure),
-        ("fast_extractor", experiments::fast_extractor::run_figure),
-        ("scheduler", experiments::scheduler_study::run_figure),
-        ("migration", experiments::migration_study::run_figure),
-        ("burst_loss", experiments::burst_loss::run_figure),
         (
             "latency_breakdown",
             experiments::latency_breakdown::run_figure,

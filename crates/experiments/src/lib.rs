@@ -13,15 +13,18 @@
 //!                                                    # regenerates EXPERIMENTS.md content)
 //! ```
 //!
+//! Beyond the figures, `ablation` splits scAtteR++ into its two fixes and
+//! `latency_breakdown` decomposes E2E per stage. The `*_study` modules
+//! (chaos, resilience, wire, telemetry, trace, observatory) are
+//! self-gating checks of the fault, wire and observer planes: each
+//! `--bin` exits non-zero when a gate fails.
+//!
 //! Run length defaults to 60 simulated seconds per point (the paper runs
 //! five minutes); override with `SCATTER_EXP_SECS`.
 
 pub mod ablation;
-pub mod autoscale_study;
-pub mod burst_loss;
 pub mod chaos_study;
 pub mod common;
-pub mod fast_extractor;
 pub mod fig10_jitter;
 pub mod fig11_hybrid;
 pub mod fig12_timeline;
@@ -34,11 +37,9 @@ pub mod fig8_sidecar;
 pub mod fig9_network;
 pub mod headline;
 pub mod latency_breakdown;
-pub mod migration_study;
 pub mod observatory_study;
 pub mod resilience_study;
 pub mod scale;
-pub mod scheduler_study;
 pub mod table;
 pub mod telemetry_study;
 pub mod trace_study;

@@ -115,7 +115,7 @@ impl Balancer {
         Ok(())
     }
 
-    /// Add a replica (scale-out).
+    /// Add a replica (a revived instance rejoining the rotation).
     pub fn add_replica(&mut self) {
         self.n_replicas += 1;
     }

@@ -7,8 +7,9 @@
 //!   *architecture* (GeForce RTX on E1, Ampere on E2, Tesla in the cloud)
 //!   — the paper must map differently-compiled container images per
 //!   architecture, which we model as an SLA compatibility check;
-//! - SLA-constrained service placement, including the paper's pinned
-//!   placement configurations (C1, C2, C12, C21, …);
+//! - SLA-constrained service placement of the paper's hand-pinned
+//!   configurations (C1, C2, C12, C21, …); like the paper, nothing here
+//!   chooses a placement automatically;
 //! - replica scale-out with round-robin load balancing across replicas,
 //!   plus the sticky binding that stateful services force ("frames
 //!   balanced across sift instances remain tied to that replica");
@@ -21,12 +22,10 @@ pub mod balancer;
 pub mod cluster;
 pub mod detector;
 pub mod node;
-pub mod scheduler;
 pub mod sla;
 
 pub use balancer::{Balancer, BalancerKind, LastReplica};
 pub use cluster::{Cluster, InstanceId, InstanceState, ServiceInstance};
 pub use detector::{DetectorConfig, FailureDetector, Suspicion};
 pub use node::{GpuArch, MachineSpec};
-pub use scheduler::{schedule, Discipline, SchedulePlan};
 pub use sla::{PlacementSpec, ServiceSla};

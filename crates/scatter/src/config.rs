@@ -125,13 +125,6 @@ impl WireSimConfig {
         self.corrupt_first = n;
         self
     }
-
-    pub fn with_geometry(mut self, width: usize, height: usize, quality: u8) -> Self {
-        self.width = width;
-        self.height = height;
-        self.quality = quality;
-        self
-    }
 }
 
 /// Scale-out shape of a run (see DESIGN.md §14). `None` on
@@ -187,9 +180,6 @@ pub struct RunConfig {
     /// `i × stagger` (fig. 12's stepped load); otherwise all start at 0
     /// with small phase offsets.
     pub stagger: Option<SimDuration>,
-    /// Mid-run autoscaling (the paper's future-work proposal; see
-    /// [`crate::autoscale`]). `None` keeps the placement static.
-    pub autoscale: Option<crate::autoscale::AutoscaleConfig>,
     /// Failure injection: `(crash time, service, replica)` — the
     /// instance loses all in-memory state (including sift's frame
     /// store and sidecar queue) and is re-deployed by the orchestrator
@@ -197,11 +187,6 @@ pub struct RunConfig {
     pub failures: Vec<(SimDuration, crate::message::ServiceKind, usize)>,
     /// Orchestrator detection + container-restart delay.
     pub recovery: SimDuration,
-    /// Live migrations: `(time, service, replica, target machine)` — the
-    /// instance is stopped, its image started on the target machine
-    /// after `recovery`, and traffic follows (the "dynamic migrations"
-    /// the paper's introduction calls largely unexplored).
-    pub migrations: Vec<(SimDuration, crate::message::ServiceKind, usize, String)>,
     /// Per-frame causal tracing. `None` (the default) disables tracing
     /// entirely — the tracer short-circuits on an unsampled context, so
     /// the disabled path costs a branch per record site. `Some` enables
@@ -236,10 +221,8 @@ impl RunConfig {
             netem: None,
             seed: 7,
             stagger: None,
-            autoscale: None,
             failures: Vec::new(),
             recovery: SimDuration::from_secs(2),
-            migrations: Vec::new(),
             trace: None,
             resilience: crate::resilience::ResilienceConfig::default(),
             wire: None,
@@ -304,11 +287,6 @@ impl RunConfig {
         self
     }
 
-    pub fn with_autoscale(mut self, a: crate::autoscale::AutoscaleConfig) -> Self {
-        self.autoscale = Some(a);
-        self
-    }
-
     /// Schedule a crash of `service`'s replica `replica` at `at`.
     pub fn with_failure(
         mut self,
@@ -322,18 +300,6 @@ impl RunConfig {
 
     pub fn with_recovery(mut self, d: SimDuration) -> Self {
         self.recovery = d;
-        self
-    }
-
-    /// Schedule a live migration of `service`'s replica to `machine`.
-    pub fn with_migration(
-        mut self,
-        at: SimDuration,
-        service: crate::message::ServiceKind,
-        replica: usize,
-        machine: &str,
-    ) -> Self {
-        self.migrations.push((at, service, replica, machine.into()));
         self
     }
 }

@@ -28,7 +28,6 @@
 //!   whose services run the actual `vision` compute — demonstrating the
 //!   pipeline's data plane end-to-end on one host.
 
-pub mod autoscale;
 pub mod client;
 pub mod config;
 pub mod costmodel;

@@ -147,9 +147,7 @@ impl DesObs {
     }
 
     /// Register handles for one service slot. Called once per deployed
-    /// instance (including mid-run scale-outs); on migration the slot is
-    /// re-registered so subsequent samples land on the new machine's
-    /// series.
+    /// instance.
     pub fn register_slot(&mut self, kind: &'static str, replica: usize, machine: &str) -> SlotObs {
         let r = &self.registry;
         let l = || slot_labels(kind, replica, machine);

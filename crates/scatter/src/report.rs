@@ -82,13 +82,6 @@ impl ResilienceReport {
         }
         self.detection_latency_ms.iter().sum::<f64>() / self.detection_latency_ms.len() as f64
     }
-
-    pub fn max_detection_latency_ms(&self) -> f64 {
-        self.detection_latency_ms
-            .iter()
-            .cloned()
-            .fold(0.0, f64::max)
-    }
 }
 
 /// Wire-model accounting for one run. All zeros when the wire model is
@@ -162,9 +155,6 @@ pub struct RunReport {
     pub machines: Vec<MachineReport>,
     pub bytes_on_wire: u64,
     pub datagrams_lost: u64,
-    /// Mid-run scale-out actions taken by the autoscaler (empty when
-    /// autoscaling is off).
-    pub scale_events: Vec<crate::autoscale::ScaleEvent>,
     /// Latency breakdown over completed frames (ms): per-stage compute,
     /// per-stage queue/fetch wait, and the network residual.
     pub breakdown_compute: [Summary; 5],
@@ -235,31 +225,6 @@ impl RunReport {
             s.merge(&svc.latency_ms);
         }
         s
-    }
-
-    /// Total ingress FPS for a service kind over the window (all
-    /// replicas) — fig. 8's per-service ingress rate.
-    pub fn ingress_fps(&self, kind: ServiceKind) -> f64 {
-        let secs = self
-            .measure_end
-            .saturating_since(self.measure_start)
-            .as_secs_f64();
-        if secs <= 0.0 {
-            return 0.0;
-        }
-        self.services
-            .iter()
-            .filter(|s| s.kind == kind)
-            .map(|s| {
-                if s.ingress.is_empty() {
-                    // Streaming run: the counter carries the window count.
-                    s.ingress_in_window as f64
-                } else {
-                    s.ingress.window_count(self.measure_start, self.measure_end) as f64
-                }
-            })
-            .sum::<f64>()
-            / secs
     }
 
     /// Aggregate drop ratio for a service kind: drops / ingress.

@@ -70,9 +70,6 @@ pub struct SvcRuntime {
     pub service_latency_ms: Summary,
     /// EWMA of observed service latency, feeding the sidecar projection.
     pub ewma_service_ms: f64,
-    /// Completion events with value = wall processing ms — windowed busy
-    /// fraction for the autoscaler's hardware-style signal.
-    pub proc_series: TimeSeries,
     /// Completed frame executions.
     pub processed: u64,
     /// `sift` only: feature-fetch requests served / dropped-while-busy.
@@ -125,7 +122,6 @@ impl SvcRuntime {
             drops: DropCounters::default(),
             service_latency_ms: Summary::new(),
             ewma_service_ms: 0.0,
-            proc_series: TimeSeries::new(),
             processed: 0,
             fetch_served: 0,
             fetch_dropped: 0,

@@ -187,12 +187,6 @@ impl Sidecar {
         self.service_est = SimDuration::from_nanos((self.ewma_service_ms * 1e6) as u64);
     }
 
-    /// Override the expected service time (tests; migration re-seeding).
-    pub fn set_service_est(&mut self, est: SimDuration) {
-        self.ewma_service_ms = est.as_millis_f64();
-        self.service_est = est;
-    }
-
     /// The sidecar's exported backpressure signal: projected wait for a
     /// hypothetical frame admitted *now* — queue occupancy times the
     /// running service estimate plus the expected downstream remainder.

@@ -27,7 +27,6 @@ use orchestra::{Balancer, BalancerKind, Cluster, ServiceSla};
 use simcore::{Sim, SimDuration, SimRng, SimTime};
 use simnet::{NodeId, SiteMap, Testbed, UdpNet};
 
-use crate::autoscale::{MachinePool, ScaleEvent};
 use crate::client::{ClientState, FRAME_PERIOD};
 use crate::config::{env_knob, Mode, RunConfig};
 use crate::costmodel::CostModel;
@@ -63,10 +62,8 @@ pub struct PipelineWorld {
     pub machine_mem: Vec<TimeSeries>,
     pub end_at: SimTime,
     pub warmup_at: SimTime,
-    /// SLAs kept for mid-run scale-out deployments.
+    /// SLAs kept for the orchestrator's failure re-deploys.
     pub slas: Vec<ServiceSla>,
-    /// Scale-out actions taken by the autoscaler.
-    pub scale_events: Vec<ScaleEvent>,
     /// Latency breakdown over completed frames: per-stage compute, per-
     /// stage queue/fetch wait, and the network residual, all ms.
     pub breakdown_compute: [metrics::Summary; 5],
@@ -399,13 +396,6 @@ fn run_world(
     // Scale-out plane (DESIGN.md §14).
     let scale = cfg.scale;
     let streaming = scale.is_some_and(|sc| sc.streaming);
-    // The autoscaler's signals are the ingress/drop time series, which
-    // streaming metrics deliberately do not populate (DESIGN.md §14) —
-    // a sited autoscale run would silently see zeros. Config error.
-    assert!(
-        !(streaming && cfg.autoscale.is_some()),
-        "autoscale is unsupported under streaming scale metrics; use ScaleConfig::exact()"
-    );
 
     // Topology + netem overrides on the client↔ingress link(s). At
     // scale the clients attach to per-site access nodes; `build_with_sites(1)`
@@ -670,7 +660,6 @@ fn run_world(
         end_at,
         warmup_at,
         slas: slas_kept,
-        scale_events: Vec::new(),
         breakdown_compute: Default::default(),
         breakdown_queue: Default::default(),
         breakdown_network: metrics::Summary::new(),
@@ -727,20 +716,10 @@ fn run_world(
     if let Some(lcfg) = world.cfg.resilience.ladder {
         sim.schedule(lcfg.tick, ladder_tick);
     }
-    // Autoscaler evaluation loop (first check after warmup + interval).
-    if let Some(auto) = world.cfg.autoscale {
-        sim.schedule_at(world.warmup_at + auto.interval, autoscale_check);
-    }
     // Failure injection schedule.
     for (at, kind, replica) in world.cfg.failures.clone() {
         sim.schedule_at(SimTime::ZERO + at, move |w, s| {
             crash_instance(w, s, kind, replica)
-        });
-    }
-    // Live-migration schedule.
-    for (at, kind, replica, machine) in world.cfg.migrations.clone() {
-        sim.schedule_at(SimTime::ZERO + at, move |w, s| {
-            migrate_instance(w, s, kind, replica, &machine)
         });
     }
 
@@ -991,8 +970,8 @@ fn route_to_service(
     // path bypasses this router (see send_fetch). Frames to sift record
     // their replica binding for the later fetch.
     let replica = w.balancers[ki].pick(msg.client as u64);
-    // Identical to `routable[ki][replica]` whenever balancer and map are
-    // in sync (always, outside a mid-outage autoscale race).
+    // Identical to `routable[ki][replica]`: `revive` keeps the balancer
+    // and the map in step.
     let slot = w.routable[ki][replica % w.routable[ki].len()];
     if w.derouted[slot] {
         // Failover correctness: the balancer must never hand a frame to
@@ -1309,7 +1288,6 @@ fn complete_compute(
     );
     msg.stage_compute_ms[kind.index()] += observed_ms;
     w.services[slot].service_latency_ms.record(observed_ms);
-    w.services[slot].proc_series.push(now, observed_ms);
     // Feed the sidecar's projection with what the service actually costs
     // under current contention (EWMA over recent executions).
     let ewma = if w.services[slot].ewma_service_ms == 0.0 {
@@ -2022,167 +2000,6 @@ fn ladder_tick(w: &mut PipelineWorld, sim: &mut SimW) {
     }
 }
 
-/// Live-migrate a service instance to another machine: the container is
-/// stopped (in-memory state lost, like a crash), its image is started on
-/// the target after the orchestrator's `recovery` delay, and subsequent
-/// traffic is routed to the new location. This realizes the "dynamic
-/// migrations" the paper's introduction flags as unexplored for AR.
-fn migrate_instance(
-    w: &mut PipelineWorld,
-    sim: &mut SimW,
-    kind: ServiceKind,
-    replica: usize,
-    machine_name: &str,
-) {
-    let Some(target) = w.cluster.machine_index(machine_name) else {
-        return;
-    };
-    let ki = kind.index();
-    let Some(&slot) = w.replicas[ki].get(replica) else {
-        return;
-    };
-    // Stop phase: identical semantics to a crash.
-    crash_instance(w, sim, kind, replica);
-    // Relocate: traffic after the restart flows to the new machine. The
-    // instance gets a fresh trace track so post-migration spans group
-    // under the right machine in the exported trace.
-    w.services[slot].machine = target;
-    w.track_of_slot[slot] = w.tracer.register_track(
-        format!("{}#{replica}@{machine_name}", kind.name()),
-        machine_name.to_string(),
-    );
-    if let Some(o) = w.obs.as_mut() {
-        // Re-home the slot's series: post-migration records land on the
-        // new machine's label set (the old series keeps its history).
-        o.slots[slot] = o.register_slot(kind.name(), replica, machine_name);
-    }
-    let now = sim.now();
-    w.scale_events.push(ScaleEvent {
-        at: now,
-        service: kind,
-        machine: machine_name.to_string(),
-        signal: -1.0, // marker: migration, not load-triggered scale-out
-    });
-}
-
-/// Evaluate the autoscaling policy over the last window and scale out if
-/// a service crosses its threshold (see [`crate::autoscale`]).
-fn autoscale_check(w: &mut PipelineWorld, sim: &mut SimW) {
-    let now = sim.now();
-    let auto = w.cfg.autoscale.expect("autoscale_check without config");
-    let window_start = SimTime::from_nanos(now.as_nanos().saturating_sub(auto.interval.as_nanos()));
-    let window_ms = now.saturating_since(window_start).as_millis_f64();
-
-    // Per-kind window signals: (busy fraction, drop ratio).
-    let mut signals = [(0.0f64, 0.0f64); 5];
-    let mut replica_counts = [0usize; 5];
-    for i in 0..5 {
-        let slots = &w.replicas[i];
-        replica_counts[i] = slots.len();
-        let (mut busy_ms, mut ingress, mut drops) = (0.0, 0usize, 0usize);
-        for &slot in slots {
-            let svc = &w.services[slot];
-            busy_ms += svc
-                .proc_series
-                .iter()
-                .filter(|&(t, _)| t >= window_start && t < now)
-                .map(|(_, v)| v)
-                .sum::<f64>();
-            ingress += svc.ingress.window_count(window_start, now);
-            drops += svc.drops_over_time.window_count(window_start, now);
-        }
-        let busy_frac = if window_ms > 0.0 {
-            busy_ms / (window_ms * slots.len() as f64)
-        } else {
-            0.0
-        };
-        let drop_ratio = if ingress == 0 {
-            0.0
-        } else {
-            drops as f64 / ingress as f64
-        };
-        signals[i] = (busy_frac.min(1.0), drop_ratio);
-    }
-
-    if let Some((kind_idx, signal)) =
-        crate::autoscale::pick_target(auto.policy, &signals, &replica_counts, auto.max_replicas)
-    {
-        if let Some(machine_idx) = pick_scale_machine(w, auto.spread_over) {
-            add_replica(w, sim, kind_idx, machine_idx, now, signal);
-        }
-    }
-
-    if now + auto.interval <= w.end_at {
-        sim.schedule(auto.interval, autoscale_check);
-    }
-}
-
-/// Least-loaded eligible GPU machine by current instance count.
-fn pick_scale_machine(w: &PipelineWorld, pool: MachinePool) -> Option<usize> {
-    let eligible = |name: &str| match pool {
-        MachinePool::Edge => name == "E1" || name == "E2",
-        MachinePool::EdgeAndCloud => name == "E1" || name == "E2" || name == "cloud",
-    };
-    let mut counts: Vec<(usize, usize)> = w
-        .cluster
-        .machines()
-        .iter()
-        .enumerate()
-        .filter(|(_, m)| eligible(&m.name) && m.has_gpu())
-        .map(|(i, _)| (i, w.services.iter().filter(|s| s.machine == i).count()))
-        .collect();
-    counts.sort_by_key(|&(_, n)| n);
-    counts.first().map(|&(i, _)| i)
-}
-
-/// Deploy one more replica of a service mid-run.
-fn add_replica(
-    w: &mut PipelineWorld,
-    sim: &mut SimW,
-    kind_idx: usize,
-    machine_idx: usize,
-    now: SimTime,
-    signal: f64,
-) {
-    let kind = ServiceKind::from_index(kind_idx);
-    let machine_name = w.cluster.machines()[machine_idx].name.clone();
-    let sla = w.slas[kind_idx].clone();
-    let Ok(new_id) = w.cluster.deploy_on(&sla, &machine_name) else {
-        return; // out of capacity — skip this round
-    };
-    let replica = w.replicas[kind_idx].len();
-    let sidecar = make_sidecar(w.cfg.mode, &w.cost, &w.cluster, machine_idx, kind_idx);
-    let slot = w.services.len();
-    w.services
-        .push(SvcRuntime::new(kind, replica, machine_idx, sidecar));
-    w.replicas[kind_idx].push(slot);
-    w.balancers[kind_idx].add_replica();
-    w.routable[kind_idx].push(slot);
-    w.derouted.push(false);
-    w.instance_ids.push(new_id);
-    if let Some(det_cfg) = w.cfg.resilience.detection {
-        if let Some(det) = w.detector.as_mut() {
-            det.register(new_id, now.as_millis_f64());
-        }
-        sim.schedule(det_cfg.hb_interval, move |w, s| heartbeat(w, s, slot));
-    }
-    w.mem_series.push(TimeSeries::new());
-    if let Some(o) = w.obs.as_mut() {
-        let s = o.register_slot(kind.name(), replica, &machine_name);
-        o.slots.push(s);
-    }
-    let track = w
-        .tracer
-        .register_track(format!("{}#{replica}", kind.name()), machine_name.clone());
-    w.track_of_slot.push(track);
-    w.scale_events.push(ScaleEvent {
-        at: now,
-        service: kind,
-        machine: machine_name,
-        signal,
-    });
-}
-
 /// Propagate observed per-stage costs into every sidecar's downstream
 /// estimate (the sidecar metrics exchange of §5 / appendix A.2): stage i
 /// projects with Σ_{j>i} (observed cost of stage j + one hop).
@@ -2402,7 +2219,6 @@ fn build_report(mut w: PipelineWorld, events_executed: u64) -> RunReport {
         machines,
         bytes_on_wire: w.net.total_bytes(),
         datagrams_lost: w.net.total_lost(),
-        scale_events: w.scale_events,
         breakdown_compute: w.breakdown_compute,
         breakdown_queue: w.breakdown_queue,
         breakdown_network: w.breakdown_network,
@@ -2615,58 +2431,6 @@ mod tests {
         assert!(
             full > sidecar * 1.2,
             "full {full:.1} vs sidecar {sidecar:.1}"
-        );
-    }
-
-    #[test]
-    fn app_aware_autoscaler_scales_and_improves() {
-        use crate::autoscale::AutoscaleConfig;
-        let placement = orchestra::PlacementSpec::all_on(&crate::message::SERVICE_NAMES, "E2");
-        let static_run = quick(Mode::ScatterPP, placement.clone(), 6);
-        let cfg = RunConfig::new(Mode::ScatterPP, placement, 6)
-            .with_duration(SimDuration::from_secs(20))
-            .with_warmup(SimDuration::from_secs(3))
-            .with_autoscale(AutoscaleConfig::application_aware(0.10));
-        let scaled_run = run_experiment(cfg);
-        assert!(
-            !scaled_run.scale_events.is_empty(),
-            "autoscaler never acted under heavy load"
-        );
-        assert!(
-            scaled_run.fps() > static_run.fps(),
-            "scaling should improve FPS: {:.1} vs static {:.1} (events: {:?})",
-            scaled_run.fps(),
-            static_run.fps(),
-            scaled_run.scale_events.len()
-        );
-    }
-
-    #[test]
-    fn hardware_autoscaler_is_blind_under_scatter_drops() {
-        use crate::autoscale::AutoscaleConfig;
-        // Insight (I)/(IV): under scAtteR's drop regime utilization
-        // stalls, so a utilization-threshold policy never fires even
-        // though QoS has collapsed.
-        let placement = placements::c2();
-        let cfg = RunConfig::new(Mode::Scatter, placement.clone(), 4)
-            .with_duration(SimDuration::from_secs(20))
-            .with_warmup(SimDuration::from_secs(3))
-            .with_autoscale(AutoscaleConfig::hardware(0.75));
-        let hw = run_experiment(cfg);
-        let cfg = RunConfig::new(Mode::Scatter, placement, 4)
-            .with_duration(SimDuration::from_secs(20))
-            .with_warmup(SimDuration::from_secs(3))
-            .with_autoscale(AutoscaleConfig::application_aware(0.10));
-        let app = run_experiment(cfg);
-        assert!(
-            hw.scale_events.len() < app.scale_events.len(),
-            "hardware policy ({} actions) should lag app-aware ({} actions)",
-            hw.scale_events.len(),
-            app.scale_events.len()
-        );
-        assert!(
-            app.fps() < 30.0,
-            "sanity: the system is actually overloaded"
         );
     }
 

@@ -86,14 +86,3 @@ fn streaming_aggregates_agree_with_exact_collectors() {
     assert!(streamed.per_client_fps_median.is_empty());
     assert_eq!(streamed.e2e_ms.samples().len(), 0);
 }
-
-/// Autoscale reads the ingress/drop time series, which streaming
-/// metrics do not populate — asking for both is a config error, not a
-/// silent zero-signal run (DESIGN.md §14).
-#[test]
-#[should_panic(expected = "autoscale is unsupported under streaming scale metrics")]
-fn autoscale_under_streaming_metrics_is_rejected() {
-    let cfg = sited(base_cfg(2), 2, true)
-        .with_autoscale(scatter::autoscale::AutoscaleConfig::application_aware(0.10));
-    let _ = run_experiment(cfg);
-}

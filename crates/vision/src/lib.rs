@@ -25,8 +25,6 @@
 //!   box) estimation.
 //! - [`db`]: the reference-object database the `matching` service
 //!   recognizes against.
-//! - [`fast`]: FAST corners + BRIEF binary descriptors — the "faster
-//!   extractor" of §5's model-optimization discussion.
 //! - [`tracking`]: persistent multi-frame object tracks (the stability
 //!   the paper's FPS metric proxies).
 //! - [`codec`]: block-DCT intra-frame compression for the client uplink
@@ -41,7 +39,6 @@
 pub mod codec;
 pub mod db;
 pub mod descriptor;
-pub mod fast;
 pub mod fisher;
 pub mod gmm;
 pub mod image;

@@ -19,8 +19,17 @@
 # `ledger run --workload W --seed S --seconds 25 --trace 0` from its own
 # tree's root. Prints, per end-to-end metric of BENCHMARK.json, the median
 # [q1, q3] of each side, the change, pairs won and whether the median gap
-# exceeds the parent's IQR, then every pair's values, then each side's
-# summed `failed`/`attempted` frames and failure share.
+# exceeds the parent's IQR, the one-sided sign-test p-value over the
+# non-tied pairs and a verdict, then every pair's values, then each side's
+# summed `failed`/`attempted` frames and failure share. The verdict is the
+# first that applies, against the metric's BENCHMARK.json bound (a share
+# of the parent's median):
+#   gain          the change won >= 9/10 of the non-tied pairs and its median
+#                 is better by more than the parent's IQR
+#   regression    the change's median is worse by more than the bound
+#   unresolved    the parent's IQR is wider than the bound
+#   within bound  otherwise
+# The verdict is printed only; it does not change the exit status.
 #
 # Exits non-zero if a run exits non-zero or reports `correct: false`, if
 # `wire_kb_per_frame` or the reported `recognitions` differ between any two
@@ -107,7 +116,7 @@ for ((i = 0; i < pairs; i++)); do
 done
 
 python3 - "$runs" "$root/BENCHMARK.json" "$workload" "$rev" "$patch" <<'EOF'
-import json, statistics, sys
+import json, math, statistics, sys
 
 runs_path, bench_path, workload, rev, patch = sys.argv[1:]
 metrics = json.load(open(bench_path))["end_to_end"]
@@ -132,6 +141,20 @@ def quartiles(xs):
     q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return med, q1, q3
 
+def sign_test_p(won, n):
+    # P(at least `won` wins of `n` non-tied pairs | no effect), one-sided.
+    return sum(math.comb(n, k) for k in range(won, n + 1)) / 2 ** n if n else 1.0
+
+def verdict(pm, cm, iqr, won, n, lower, bound):
+    better = cm < pm if lower else cm > pm
+    if n and won >= 0.9 * n and better and abs(cm - pm) > iqr:
+        return "gain"
+    if (cm - pm if lower else pm - cm) > bound * abs(pm):
+        return "regression"
+    if iqr > bound * abs(pm):
+        return "unresolved"
+    return "within bound"
+
 pairs = sorted({r["pair"] for r in runs})
 by = {(r["pair"], r["side"]): r for r in runs}
 print(f"parent: {rev}" + (f" + patch {patch}" if patch else "") + "; change: the working tree")
@@ -146,10 +169,13 @@ for m in metrics:
     pa, ch = [a for a, _ in both], [b for _, b in both]
     (pm, pq1, pq3), (cm, cq1, cq3) = quartiles(pa), quartiles(ch)
     won = sum((b < a) if lower else (b > a) for a, b in both)
+    untied = sum(a != b for a, b in both)
     change = (cm - pm) / pm * 100 if pm else float("nan")
     resolved = "gap > parent IQR" if abs(cm - pm) > pq3 - pq1 else "gap <= parent IQR"
+    word = verdict(pm, cm, pq3 - pq1, won, untied, lower, m["bound"])
     print(f"  {name:<18} {pm:.6g} [{pq1:.6g}, {pq3:.6g}] | {cm:.6g} [{cq1:.6g}, {cq3:.6g}]"
-          f"  {change:+.1f} %  won {won}/{len(both)}  {resolved}")
+          f"  {change:+.1f} %  won {won}/{len(both)}  {resolved}"
+          f"  sign p {sign_test_p(won, untied):.3g} ({untied} untied)  {word}")
 print("per pair (seed: parent -> change):")
 for m in metrics:
     name = m["name"]

@@ -5,7 +5,8 @@
 #   portable ISA: the vision tests again from a `-C target-cpu=x86-64` build, so
 #                 the native build (.cargo/config.toml) and a portable one
 #                 reproduce the same output bits (tests/isa_digest.rs)
-#   figure suite: `all` completes in parallel; parallel == sequential
+#   figure suite: `all --json` is byte-identical at SCATTER_JOBS=1 and 2, no table
+#                 excluded; parallel == sequential
 #   telemetry:    the live metrics plane reconciles with the post-hoc report
 #   chaos:        DES and real-UDP runtime agree exactly on crash-attributed drops
 #   resilience:   heartbeat detection, failover and the degradation ladder hold their gates
@@ -38,8 +39,12 @@ cargo test -q --release -p vision
 echo "==> vision, portable ISA: the same output bits from a baseline x86-64 build"
 RUSTFLAGS="-C target-cpu=x86-64" cargo test -q --release -p vision --target-dir target/baseline-isa
 
-echo "==> perf smoke: parallel figure suite completes"
-SCATTER_EXP_SECS=2 SCATTER_JOBS=2 ./target/release/all > /dev/null
+echo "==> whole-suite determinism: all --json at SCATTER_JOBS=1 and 2, byte for byte"
+suite=$(mktemp -d)
+trap 'rm -rf "$suite"' EXIT
+SCATTER_EXP_SECS=2 SCATTER_JOBS=1 ./target/release/all --json > "$suite/jobs1.json"
+SCATTER_EXP_SECS=2 SCATTER_JOBS=2 ./target/release/all --json > "$suite/jobs2.json"
+cmp "$suite/jobs1.json" "$suite/jobs2.json"
 
 echo "==> perf smoke: parallel-vs-sequential determinism"
 cargo test -q -p experiments --test parallel_determinism

@@ -1,6 +1,7 @@
 //! Integration: network-condition effects (fig. 9 mechanics) across
 //! simnet and the pipeline.
 
+use experiments::common::{SEED, WARMUP_SECS};
 use scatter::config::{placements, RunConfig};
 use scatter::{run_experiment, Mode, RunReport};
 use simcore::SimDuration;
@@ -117,5 +118,36 @@ fn bigger_stateless_frames_lose_more_on_lossy_links() {
     assert!(
         pp.bytes_on_wire > s.bytes_on_wire,
         "stateless frames carry more bytes"
+    );
+}
+
+#[test]
+fn fragmentation_makes_uniform_loss_catastrophic() {
+    // A 310 KB frame spans ≈200 UDP fragments, so i.i.d. loss at 3 % per
+    // packet kills nearly every frame, while a Gilbert–Elliott channel at
+    // the same average rate concentrates its losses in few frames and
+    // lets the rest through intact.
+    let run = |profile: NetemProfile| {
+        run_experiment(
+            RunConfig::new(Mode::Scatter, placements::c2(), 1)
+                .with_netem(profile)
+                .with_duration(SimDuration::from_secs(20))
+                .with_warmup(SimDuration::from_secs(WARMUP_SECS))
+                .with_seed(SEED),
+        )
+    };
+    let uniform = run(NetemProfile::new("uniform 0.03", 5.0, 0.03));
+    let bursty = run(NetemProfile::new("bursty 0.03", 5.0, 0.03).with_burst_loss(25.0));
+    assert!(
+        bursty.fps() > uniform.fps() * 3.0,
+        "bursty {:.1} FPS should dwarf uniform {:.1} at equal packet loss",
+        bursty.fps(),
+        uniform.fps()
+    );
+    assert!(
+        uniform.max_freeze_frames > bursty.max_freeze_frames,
+        "uniform loss freezes longer ({} vs {} frames)",
+        uniform.max_freeze_frames,
+        bursty.max_freeze_frames
     );
 }
