@@ -22,7 +22,7 @@ use std::sync::{Mutex, Once, OnceLock};
 
 use orchestra::PlacementSpec;
 use scatter::config::{env_knob, RunConfig};
-use scatter::{run_experiment, run_experiment_with, CostModel, Mode, RunReport};
+use scatter::{run_experiment, Mode, RunReport};
 use simcore::SimDuration;
 
 /// Simulated seconds per experiment point. The paper runs five minutes;
@@ -192,13 +192,6 @@ pub fn run_many(points: &[(Mode, PlacementSpec, usize)]) -> Vec<RunReport> {
             .map(|(m, p, c)| RunConfig::new(*m, p.clone(), *c))
             .collect(),
     )
-}
-
-/// Parallel batch under an explicit cost model (ablation studies).
-/// Bypasses the cache: the cache key does not encode the cost model.
-pub fn run_batch_with(cfgs: Vec<RunConfig>, cost: &CostModel) -> Vec<RunReport> {
-    let cfgs: Vec<RunConfig> = cfgs.into_iter().map(std_cfg).collect();
-    par_map(&cfgs, |cfg| run_experiment_with(cfg.clone(), cost.clone()))
 }
 
 /// A metric's mean ± sample standard deviation over several seeds.

@@ -53,59 +53,10 @@ impl TimeSeries {
         self.values.iter().sum::<f64>() / self.values.len() as f64
     }
 
-    /// Mean over samples with `start <= t < end`.
-    pub fn window_mean(&self, start: SimTime, end: SimTime) -> f64 {
-        let (mut sum, mut n) = (0.0, 0usize);
-        for (t, v) in self.iter() {
-            if t >= start && t < end {
-                sum += v;
-                n += 1;
-            }
-        }
-        if n == 0 {
-            0.0
-        } else {
-            sum / n as f64
-        }
-    }
-
     /// Count of events with `start <= t < end` (ignores values) — used to
     /// turn an arrival series into a rate.
     pub fn window_count(&self, start: SimTime, end: SimTime) -> usize {
         self.iter().filter(|&(t, _)| t >= start && t < end).count()
-    }
-
-    /// Resample into `n` equal windows over `[start, end)`, producing the
-    /// per-window mean (`0.0` for empty windows). This is exactly the
-    /// "experiment time (%)" x-axis of figs. 8/12.
-    pub fn resample_mean(&self, start: SimTime, end: SimTime, n: usize) -> Vec<f64> {
-        assert!(n > 0 && end > start);
-        let span = (end - start).as_nanos();
-        (0..n)
-            .map(|i| {
-                let ws = SimTime::from_nanos(start.as_nanos() + span * i as u64 / n as u64);
-                let we = SimTime::from_nanos(start.as_nanos() + span * (i as u64 + 1) / n as u64);
-                self.window_mean(ws, we)
-            })
-            .collect()
-    }
-
-    /// Resample into `n` equal windows producing events-per-second rates.
-    pub fn resample_rate(&self, start: SimTime, end: SimTime, n: usize) -> Vec<f64> {
-        assert!(n > 0 && end > start);
-        let span = (end - start).as_nanos();
-        (0..n)
-            .map(|i| {
-                let ws = SimTime::from_nanos(start.as_nanos() + span * i as u64 / n as u64);
-                let we = SimTime::from_nanos(start.as_nanos() + span * (i as u64 + 1) / n as u64);
-                let secs = (we - ws).as_secs_f64();
-                if secs == 0.0 {
-                    0.0
-                } else {
-                    self.window_count(ws, we) as f64 / secs
-                }
-            })
-            .collect()
     }
 
     /// Last value, if any.
@@ -130,38 +81,5 @@ mod tests {
         let v: Vec<_> = s.iter().collect();
         assert_eq!(v, vec![(t(1), 10.0), (t(2), 20.0)]);
         assert_eq!(s.last(), Some(20.0));
-    }
-
-    #[test]
-    fn window_mean_respects_bounds() {
-        let mut s = TimeSeries::new();
-        for i in 0..10 {
-            s.push(t(i * 100), i as f64);
-        }
-        // Window [200, 500) contains samples at 200,300,400 → values 2,3,4.
-        assert_eq!(s.window_mean(t(200), t(500)), 3.0);
-        assert_eq!(s.window_mean(t(5000), t(6000)), 0.0);
-    }
-
-    #[test]
-    fn resample_rate_counts_events() {
-        let mut s = TimeSeries::new();
-        // 30 events in the first second, none in the second.
-        for i in 0..30 {
-            s.push(SimTime::from_millis(i * 33), 1.0);
-        }
-        let rates = s.resample_rate(SimTime::ZERO, SimTime::from_secs(2), 2);
-        assert_eq!(rates.len(), 2);
-        assert!((rates[0] - 30.0).abs() < 1.0, "rate {}", rates[0]);
-        assert_eq!(rates[1], 0.0);
-    }
-
-    #[test]
-    fn resample_mean_splits_evenly() {
-        let mut s = TimeSeries::new();
-        s.push(t(100), 1.0);
-        s.push(t(600), 3.0);
-        let m = s.resample_mean(SimTime::ZERO, t(1000), 2);
-        assert_eq!(m, vec![1.0, 3.0]);
     }
 }

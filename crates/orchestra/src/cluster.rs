@@ -223,11 +223,6 @@ impl Cluster {
         &mut self.meters[mi]
     }
 
-    pub fn meters_of_instance(&mut self, id: InstanceId) -> &mut MachineMeters {
-        let mi = self.instance(id).machine;
-        &mut self.meters[mi]
-    }
-
     /// Snapshot normalized hardware utilization per machine name:
     /// `(cpu %, gpu %, memory GB)`.
     pub fn hardware_snapshot(&mut self, now: SimTime) -> HashMap<String, (f64, f64, f64)> {
@@ -332,8 +327,9 @@ mod tests {
         let id = c.deploy_on(&slas()[1], "E1").unwrap();
         let t0 = SimTime::ZERO;
         let t1 = SimTime::from_secs(1);
-        c.meters_of_instance(id).gpu.begin(t0);
-        c.meters_of_instance(id).gpu.end(t1);
+        let mi = c.instance(id).machine;
+        c.meters_mut(mi).gpu.begin(t0);
+        c.meters_mut(mi).gpu.end(t1);
         let snap = c.hardware_snapshot(t1);
         // One of two GPUs busy the whole second → 50%.
         assert!((snap["E1"].1 - 50.0).abs() < 1e-9);

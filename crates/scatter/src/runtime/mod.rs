@@ -15,6 +15,12 @@
 //! each service fronts its socket with a sidecar-style staleness filter
 //! before spending compute.
 //!
+//! Descriptors travel in SIFT's own byte format, one byte per value
+//! (150 B a descriptor, [`wire::FrameState`]). `sift` quantises them once;
+//! `encoding` and `lsh` forward the descriptor section as the bytes they
+//! received ([`wire::split_state`], [`wire::join_state`]), and the
+//! baseline's `sift` parks the same bytes for `matching` to fetch.
+//!
 //! Large messages exceed a single UDP datagram, so [`wire`] implements
 //! application-level fragmentation and reassembly — loss of any fragment
 //! loses the message, exactly like the testbed's fragmented frames.

@@ -17,8 +17,9 @@ use crate::message::ServiceKind;
 use crate::obs::RtSvcObs;
 use crate::runtime::impair::RtSocket;
 use crate::runtime::wire::{
-    self, decode_frame, decode_state, encode_frame, encode_result, encode_state, FrameKey,
-    FrameState, Reassembler, WireError, WireMsg, MAX_DATAGRAM,
+    self, decode_descriptors, decode_frame, decode_state, encode_frame, encode_result,
+    encode_state, join_state, split_state, FrameKey, FrameState, Reassembler, WireError, WireMsg,
+    MAX_DATAGRAM,
 };
 use crate::wirev2::{self, DeltaRx, FrameKind, IngestError, RxState, UplinkPolicy};
 
@@ -622,27 +623,34 @@ fn process(
                 candidates: Vec::new(),
             }))
         }
+        // `encoding` and `lsh` forward the descriptor section as it came:
+        // the bytes `sift` quantised are the bytes `matching` decodes.
         ServiceKind::Encoding => {
-            let mut state = decode_state(msg.payload.clone())?;
-            let fisher = ctx.db.encode_frame(&state.descriptors);
-            state.fisher = fisher.iter().map(|&v| v as f32).collect();
-            Ok(encode_state(&state))
+            let state = split_state(msg.payload.clone())?;
+            let descriptors = decode_descriptors(&state.descriptors)?;
+            let fisher: Vec<f32> = ctx
+                .db
+                .encode_frame(&descriptors)
+                .iter()
+                .map(|&v| v as f32)
+                .collect();
+            Ok(join_state(&state.descriptors, &fisher, &state.candidates))
         }
         ServiceKind::Lsh => {
-            let mut state = decode_state(msg.payload.clone())?;
+            let state = split_state(msg.payload.clone())?;
             // A frame that skipped `encoding` (or a crafted one) must not
             // reach the index's dimension assert.
             if state.fisher.len() != ctx.db.fisher_dim() {
                 return Err(WireError::PayloadValue);
             }
             let fisher: Vec<f64> = state.fisher.iter().map(|&v| v as f64).collect();
-            state.candidates = ctx
+            let candidates: Vec<u32> = ctx
                 .db
                 .lsh_candidates(&fisher, 2)
                 .into_iter()
                 .map(|(idx, _)| idx as u32)
                 .collect();
-            Ok(encode_state(&state))
+            Ok(join_state(&state.descriptors, &state.fisher, &candidates))
         }
         ServiceKind::Matching => {
             let state = decode_state(msg.payload.clone())?;

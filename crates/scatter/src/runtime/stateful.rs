@@ -5,10 +5,12 @@
 //!
 //! Differences from the stateless deployment in [`super::services`]:
 //!
-//! - `sift` forwards only a *stub* state (empty descriptor list), parking
-//!   the real descriptors in its store under `(client, frame)` with a
-//!   TTL; fetched entries linger (marked served) for one fetch-timeout so
-//!   a retransmitted request whose first response was lost still succeeds;
+//! - `sift` encodes its state once: it forwards it to `encoding` (whose
+//!   Fisher vector needs the descriptors) and parks the same encoded
+//!   payload in its store under `(client, frame)` with a TTL; a fetch is
+//!   answered with those bytes. Fetched entries linger (marked served)
+//!   for one fetch-timeout so a retransmitted request whose first
+//!   response was lost still succeeds;
 //! - `matching`, upon receiving the `lsh` output, sends a `FetchReq`
 //!   datagram to `sift` and waits; lost requests are retransmitted under
 //!   deadline-bounded exponential backoff
@@ -40,8 +42,8 @@ use crate::runtime::services::{
     sift_descriptors, ExitReport, FaultCell, SharedCtx, SvcStats, PH_RT_COMPUTE,
 };
 use crate::runtime::wire::{
-    self, decode_frame, decode_state, encode_result, encode_state, FrameKey, FrameState,
-    Reassembler, WireMsg, MAX_DATAGRAM,
+    self, decode_frame, decode_state, encode_result, encode_state, split_state, FrameKey,
+    FrameState, Reassembler, WireMsg, MAX_DATAGRAM,
 };
 use crate::wirev2::{FrameKind, RxState};
 
@@ -105,11 +107,12 @@ fn decode_fetch_req(mut buf: Bytes) -> Option<(u16, u32, u16)> {
     Some((buf.get_u16(), buf.get_u32(), buf.get_u16()))
 }
 
-fn encode_fetch_rsp(state: &FrameState) -> Bytes {
-    let body = encode_state(state);
-    let mut b = BytesMut::with_capacity(1 + body.len());
+/// A fetch response: the control byte, then the parked state payload as
+/// `sift` encoded it.
+fn encode_fetch_rsp(state: &[u8]) -> Bytes {
+    let mut b = BytesMut::with_capacity(1 + state.len());
     b.put_u8(CTRL_FETCH_RSP);
-    b.put_slice(&body);
+    b.put_slice(state);
     b.freeze()
 }
 
@@ -122,7 +125,8 @@ fn decode_fetch_rsp(mut buf: Bytes) -> Option<FrameState> {
 
 /// One parked frame state in sift's store.
 struct StoredState {
-    state: FrameState,
+    /// The state payload as forwarded to `encoding`.
+    state: Bytes,
     stored_at: Instant,
     /// Set when first served; the entry then lingers for
     /// [`StatefulOptions::serve_linger`] so retransmitted requests
@@ -272,22 +276,18 @@ pub fn run_stateful_sift(
         let pt = ctx.prof.enter(PH_RT_COMPUTE);
         let descriptors = sift_descriptors(&img, ctx.max_descriptors);
         ctx.prof.exit(PH_RT_COMPUTE, pt);
-        // Park the real state; forward a stub so downstream stages can
-        // still compute the Fisher/LSH path... which needs descriptors.
-        // Like the real scAtteR, the compact representation (descriptors
-        // for encoding) flows on, but the *frame correlation data* that
-        // matching needs stays here. We model that split by forwarding
-        // descriptors (compact) and parking the full state (descriptors +
-        // provenance) for matching's pose step.
-        let state = FrameState {
-            descriptors: descriptors.clone(),
+        // `encoding` needs the descriptors for its Fisher vector, and
+        // `matching` needs them back for its pose step: one encoded
+        // payload serves both, forwarded and parked.
+        let state = encode_state(&FrameState {
+            descriptors,
             fisher: Vec::new(),
             candidates: Vec::new(),
-        };
+        });
         store.insert(
             (msg.client, msg.frame_no),
             StoredState {
-                state,
+                state: state.clone(),
                 stored_at: Instant::now(),
                 served_at: None,
             },
@@ -304,11 +304,7 @@ pub fn run_stateful_sift(
             trace_id: msg.trace_id,
             flags: msg.flags,
             sent_micros: done_ns.div_ceil(1_000),
-            payload: encode_state(&FrameState {
-                descriptors,
-                fisher: Vec::new(),
-                candidates: Vec::new(),
-            }),
+            payload: state,
         };
         stats.processed.fetch_add(1, Ordering::Relaxed);
         if let Some(o) = &obs {
@@ -472,7 +468,9 @@ pub fn run_stateful_matching(
             );
             continue;
         }
-        let Ok(lsh_state) = decode_state(msg.payload.clone()) else {
+        // Only the candidates are read here; the descriptors come from
+        // sift's store.
+        let Ok(lsh_state) = split_state(msg.payload.clone()) else {
             stats.malformed.fetch_add(1, Ordering::Relaxed);
             if let Some(o) = &obs {
                 o.malformed.inc();
@@ -702,16 +700,24 @@ mod tests {
             octave: 0,
             level: 1,
         };
+        let d = vision::Descriptor {
+            keypoint: kp,
+            v: [0.1; 128],
+        };
         let state = FrameState {
-            descriptors: vec![vision::Descriptor {
-                keypoint: kp,
-                v: [0.1; 128],
-            }],
+            descriptors: vec![d.clone()],
             fisher: vec![],
             candidates: vec![1],
         };
-        let rsp = encode_fetch_rsp(&state);
-        assert_eq!(decode_fetch_rsp(rsp), Some(state));
+        let rsp = encode_fetch_rsp(&encode_state(&state));
+        // The fetched descriptors are the quantised ones: 0.1 ships as
+        // byte 51 and arrives as 51/512.
+        let quantised = FrameState {
+            descriptors: vec![d.quantized()],
+            ..state
+        };
+        assert_eq!(quantised.descriptors[0].v[0], 51.0 / 512.0);
+        assert_eq!(decode_fetch_rsp(rsp), Some(quantised));
     }
 
     #[test]

@@ -458,6 +458,14 @@ pub fn decode_frame(mut buf: Bytes) -> Result<vision::GrayImage, WireError> {
 /// Descriptor-set payload: keypoint geometry + 128-d vectors, plus an
 /// optional Fisher vector (set after `encoding`) and candidate object
 /// ids (set after `lsh`) — the frame-embedded state of scAtteR++.
+///
+/// On the wire the payload is three sections, each led by its `u32`
+/// count: the descriptors, the Fisher vector as f32s, the candidates as
+/// u32s. A descriptor is its five keypoint floats, octave and level
+/// bytes, and its 128 values in SIFT's byte format
+/// ([`vision::descriptor::quantize`]): 150 bytes. The vector therefore
+/// arrives as `dequantize(quantize(v))`, and re-encoding a decoded state
+/// writes the bytes it came from.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FrameState {
     pub descriptors: Vec<vision::Descriptor>,
@@ -466,11 +474,29 @@ pub struct FrameState {
 }
 
 /// Wire size of one descriptor: 5 keypoint floats, octave, level, 128
-/// vector floats.
-const DESC_WIRE_BYTES: usize = 5 * 4 + 2 + 128 * 4;
+/// vector bytes.
+pub const DESC_WIRE_BYTES: usize = 5 * 4 + 2 + vision::descriptor::DESC_DIM;
 
-/// Append `src` as big-endian f32s: one `put_slice` per 128 floats (a
-/// whole descriptor vector) instead of one buffer growth per float.
+/// Most descriptors one state may claim (a bound on what a crafted count
+/// can make a receiver allocate).
+const MAX_DESCRIPTORS: usize = 100_000;
+
+/// A frame-state payload cut at its section boundaries: the descriptor
+/// section still in wire bytes, the Fisher vector and the candidates
+/// decoded. A stage that does not compute on the descriptors forwards
+/// [`StateSections::descriptors`] as it came, a zero-copy slice of the
+/// received payload.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StateSections {
+    /// The descriptor section, its count included; its length is
+    /// `4 + count · DESC_WIRE_BYTES` (checked by [`split_state`]).
+    pub descriptors: Bytes,
+    pub fisher: Vec<f32>,
+    pub candidates: Vec<u32>,
+}
+
+/// Append `src` as big-endian f32s: one `put_slice` per 128 floats
+/// instead of one buffer growth per float.
 fn put_f32s(buf: &mut BytesMut, src: &[f32]) {
     let mut block = [0u8; 512];
     for chunk in src.chunks(128) {
@@ -498,93 +524,163 @@ fn get_f32s(src: &[u8], dst: &mut [f32]) -> bool {
     finite
 }
 
-pub fn encode_state(state: &FrameState) -> Bytes {
-    // Exact-size preallocation: descriptors dominate (534 B each), and
-    // growing a BytesMut through several hundred KB reallocates the
-    // whole frame-state payload multiple times otherwise.
-    let cap = 12
-        + state.descriptors.len() * DESC_WIRE_BYTES
-        + state.fisher.len() * 4
-        + state.candidates.len() * 4;
-    let mut buf = BytesMut::with_capacity(cap);
-    buf.put_u32(state.descriptors.len() as u32);
-    for d in &state.descriptors {
+/// Append the descriptor section: the count, then each descriptor in
+/// its 150-byte wire form. This is where a vector is quantised; a
+/// forwarded section never is again.
+fn put_descriptors(buf: &mut BytesMut, descriptors: &[vision::Descriptor]) {
+    buf.put_u32(descriptors.len() as u32);
+    let mut raw = [0u8; DESC_WIRE_BYTES];
+    for d in descriptors {
         let k = &d.keypoint;
-        put_f32s(&mut buf, &[k.x, k.y, k.scale, k.orientation, k.response]);
-        buf.put_slice(&[k.octave as u8, k.level as u8]);
-        put_f32s(&mut buf, &d.v);
+        let floats = [k.x, k.y, k.scale, k.orientation, k.response];
+        for (b, v) in raw.chunks_exact_mut(4).zip(floats) {
+            b.copy_from_slice(&v.to_be_bytes());
+        }
+        raw[20] = k.octave as u8;
+        raw[21] = k.level as u8;
+        raw[22..].copy_from_slice(&vision::descriptor::quantize(&d.v));
+        buf.put_slice(&raw);
     }
-    buf.put_u32(state.fisher.len() as u32);
-    put_f32s(&mut buf, &state.fisher);
-    buf.put_u32(state.candidates.len() as u32);
-    for &c in &state.candidates {
-        buf.put_u32(c);
-    }
-    buf.freeze()
 }
 
-/// Decode a frame-state payload; typed errors like [`decode_frame`].
-/// Every float must be finite ([`WireError::PayloadValue`] otherwise).
-pub fn decode_state(mut buf: Bytes) -> Result<FrameState, WireError> {
-    if buf.remaining() < 4 {
-        return Err(WireError::PayloadTruncated);
+/// Append the Fisher and candidate sections.
+fn put_tail(buf: &mut BytesMut, fisher: &[f32], candidates: &[u32]) {
+    buf.put_u32(fisher.len() as u32);
+    put_f32s(buf, fisher);
+    buf.put_u32(candidates.len() as u32);
+    for &c in candidates {
+        buf.put_u32(c);
     }
-    let n = buf.get_u32() as usize;
-    if n > 100_000 {
-        return Err(WireError::PayloadValue);
-    }
-    let mut finite = true;
-    let mut descriptors = Vec::with_capacity(n);
-    for _ in 0..n {
-        if buf.remaining() < DESC_WIRE_BYTES {
-            return Err(WireError::PayloadTruncated);
-        }
-        let raw = &buf.chunk()[..DESC_WIRE_BYTES];
-        let mut k = [0f32; 5];
-        let mut v = [0f32; 128];
-        finite &= get_f32s(&raw[..20], &mut k);
-        finite &= get_f32s(&raw[22..], &mut v);
-        let keypoint = vision::Keypoint {
-            x: k[0],
-            y: k[1],
-            scale: k[2],
-            orientation: k[3],
-            response: k[4],
-            octave: raw[20] as usize,
-            level: raw[21] as usize,
-        };
-        descriptors.push(vision::Descriptor { keypoint, v });
-        buf.advance(DESC_WIRE_BYTES);
-    }
-    if buf.remaining() < 4 {
-        return Err(WireError::PayloadTruncated);
-    }
-    let nf = buf.get_u32() as usize;
-    if buf.remaining() < nf * 4 {
-        return Err(WireError::PayloadTruncated);
-    }
-    let mut fisher = vec![0f32; nf];
-    finite &= get_f32s(&buf.chunk()[..nf * 4], &mut fisher);
-    buf.advance(nf * 4);
-    if !finite {
-        return Err(WireError::PayloadValue);
-    }
-    if buf.remaining() < 4 {
-        return Err(WireError::PayloadTruncated);
-    }
-    let nc = buf.get_u32() as usize;
-    if buf.remaining() != nc * 4 {
-        return Err(if buf.remaining() < nc * 4 {
+}
+
+/// Decode a descriptor section as [`StateSections::descriptors`] holds
+/// it. Every keypoint float must be finite ([`WireError::PayloadValue`]
+/// otherwise); every byte is a valid vector value.
+pub fn decode_descriptors(section: &[u8]) -> Result<Vec<vision::Descriptor>, WireError> {
+    let n = descriptor_count(section)?;
+    let body = &section[4..];
+    if body.len() != n * DESC_WIRE_BYTES {
+        return Err(if body.len() < n * DESC_WIRE_BYTES {
             WireError::PayloadTruncated
         } else {
             WireError::PayloadValue
         });
     }
-    let candidates = (0..nc).map(|_| buf.get_u32()).collect();
-    Ok(FrameState {
+    let mut finite = true;
+    let descriptors = body
+        .chunks_exact(DESC_WIRE_BYTES)
+        .map(|raw| {
+            let mut k = [0f32; 5];
+            finite &= get_f32s(&raw[..20], &mut k);
+            let q: &[u8; vision::descriptor::DESC_DIM] = raw[22..]
+                .try_into()
+                .expect("a descriptor chunk holds 128 values");
+            vision::Descriptor {
+                keypoint: vision::Keypoint {
+                    x: k[0],
+                    y: k[1],
+                    scale: k[2],
+                    orientation: k[3],
+                    response: k[4],
+                    octave: raw[20] as usize,
+                    level: raw[21] as usize,
+                },
+                v: vision::descriptor::dequantize(q),
+            }
+        })
+        .collect();
+    if finite {
+        Ok(descriptors)
+    } else {
+        Err(WireError::PayloadValue)
+    }
+}
+
+/// The count that leads a descriptor section, bounded by
+/// [`MAX_DESCRIPTORS`].
+fn descriptor_count(section: &[u8]) -> Result<usize, WireError> {
+    let head: [u8; 4] = section
+        .get(..4)
+        .and_then(|h| h.try_into().ok())
+        .ok_or(WireError::PayloadTruncated)?;
+    let n = u32::from_be_bytes(head) as usize;
+    if n > MAX_DESCRIPTORS {
+        return Err(WireError::PayloadValue);
+    }
+    Ok(n)
+}
+
+/// Cut a state payload at its section boundaries without decoding the
+/// descriptors; typed errors like [`decode_frame`]. The descriptor
+/// section's count and length agree; every Fisher value is finite.
+pub fn split_state(buf: Bytes) -> Result<StateSections, WireError> {
+    let n = descriptor_count(&buf)?;
+    let desc_len = 4 + n * DESC_WIRE_BYTES;
+    if buf.len() < desc_len {
+        return Err(WireError::PayloadTruncated);
+    }
+    let descriptors = buf.slice(..desc_len);
+    let mut rest = &buf[desc_len..];
+    if rest.remaining() < 4 {
+        return Err(WireError::PayloadTruncated);
+    }
+    let nf = rest.get_u32() as usize;
+    if rest.remaining() < nf * 4 {
+        return Err(WireError::PayloadTruncated);
+    }
+    let mut fisher = vec![0f32; nf];
+    if !get_f32s(&rest[..nf * 4], &mut fisher) {
+        return Err(WireError::PayloadValue);
+    }
+    rest.advance(nf * 4);
+    if rest.remaining() < 4 {
+        return Err(WireError::PayloadTruncated);
+    }
+    let nc = rest.get_u32() as usize;
+    if rest.remaining() != nc * 4 {
+        return Err(if rest.remaining() < nc * 4 {
+            WireError::PayloadTruncated
+        } else {
+            WireError::PayloadValue
+        });
+    }
+    let candidates = (0..nc).map(|_| rest.get_u32()).collect();
+    Ok(StateSections {
         descriptors,
         fisher,
         candidates,
+    })
+}
+
+/// Join a descriptor section (as [`split_state`] cut it) with a Fisher
+/// vector and candidates into a state payload: the section is copied as
+/// it came, never decoded or quantised again.
+pub fn join_state(descriptors: &[u8], fisher: &[f32], candidates: &[u32]) -> Bytes {
+    let mut buf =
+        BytesMut::with_capacity(descriptors.len() + 8 + (fisher.len() + candidates.len()) * 4);
+    buf.put_slice(descriptors);
+    put_tail(&mut buf, fisher, candidates);
+    buf.freeze()
+}
+
+pub fn encode_state(state: &FrameState) -> Bytes {
+    let mut buf = BytesMut::with_capacity(
+        12 + state.descriptors.len() * DESC_WIRE_BYTES
+            + (state.fisher.len() + state.candidates.len()) * 4,
+    );
+    put_descriptors(&mut buf, &state.descriptors);
+    put_tail(&mut buf, &state.fisher, &state.candidates);
+    buf.freeze()
+}
+
+/// Decode a frame-state payload; typed errors like [`decode_frame`].
+/// Every float must be finite ([`WireError::PayloadValue`] otherwise).
+pub fn decode_state(buf: Bytes) -> Result<FrameState, WireError> {
+    let sections = split_state(buf)?;
+    Ok(FrameState {
+        descriptors: decode_descriptors(&sections.descriptors)?,
+        fisher: sections.fisher,
+        candidates: sections.candidates,
     })
 }
 
@@ -889,7 +985,9 @@ mod tests {
         let mut huge = BytesMut::new();
         huge.put_u32(200_000);
         assert_eq!(decode_state(huge.freeze()), Err(WireError::PayloadValue));
-        // Non-finite floats anywhere in a state: keypoint, vector, Fisher.
+        // Non-finite floats in a state's keypoints or Fisher vector. (A
+        // descriptor value is a byte on the wire, never non-finite: see
+        // `descriptor_values_saturate_on_the_wire`.)
         let kp = vision::Keypoint {
             x: 1.0,
             y: 2.0,
@@ -911,11 +1009,9 @@ mod tests {
         for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
             let mut a = clean.clone();
             a.descriptors[0].keypoint.response = poison;
-            let mut b = clean.clone();
-            b.descriptors[0].v[127] = poison;
             let mut c = clean.clone();
             c.fisher[3] = poison;
-            for bad in [a, b, c] {
+            for bad in [a, c] {
                 assert_eq!(
                     decode_state(encode_state(&bad)),
                     Err(WireError::PayloadValue)
@@ -933,6 +1029,135 @@ mod tests {
         bad.put_slice(&[0xFF, 0xFE]);
         bad.put_slice(&[0u8; 32]);
         assert_eq!(decode_result(bad.freeze()), Err(WireError::PayloadValue));
+    }
+
+    /// Every f32 a descriptor value can hold encodes to one byte, the
+    /// same byte every time: NaN and anything below zero to 0, +∞ and
+    /// anything at or past 255.5/512 to 255.
+    #[test]
+    fn descriptor_values_saturate_on_the_wire() {
+        let kp = vision::Keypoint {
+            x: 1.0,
+            y: 2.0,
+            scale: 3.0,
+            orientation: 0.5,
+            response: 0.9,
+            octave: 0,
+            level: 1,
+        };
+        let cases = [
+            (f32::NAN, 0u8),
+            (-f32::NAN, 0),
+            (f32::NEG_INFINITY, 0),
+            (-1.0, 0),
+            (-0.0, 0),
+            (0.5 / 512.0, 0),
+            (1.5 / 512.0, 2),
+            (0.25, 128),
+            (255.0 / 512.0, 255),
+            (0.5, 255),
+            (1.0, 255),
+            (f32::MAX, 255),
+            (f32::INFINITY, 255),
+        ];
+        let mut v = [0f32; 128];
+        for (slot, &(value, _)) in v.iter_mut().zip(&cases) {
+            *slot = value;
+        }
+        let state = FrameState {
+            descriptors: vec![vision::Descriptor { keypoint: kp, v }],
+            fisher: vec![],
+            candidates: vec![],
+        };
+        let bytes = encode_state(&state);
+        assert_eq!(bytes, encode_state(&state), "deterministic");
+        assert_eq!(bytes.len(), 4 + DESC_WIRE_BYTES + 8);
+        for (i, &(value, want)) in cases.iter().enumerate() {
+            assert_eq!(bytes[4 + 22 + i], want, "value {value:e}");
+        }
+        let back = decode_state(bytes).expect("every byte is a valid value");
+        for (i, &(_, want)) in cases.iter().enumerate() {
+            assert_eq!(back.descriptors[0].v[i], f32::from(want) / 512.0);
+        }
+    }
+
+    /// `encoding` and `lsh` forward the descriptor section untouched: the
+    /// joined payload is the one re-encoding the decoded state writes,
+    /// and the section is a slice of the received bytes.
+    #[test]
+    fn forwarded_section_equals_re_encoding() {
+        let kp = vision::Keypoint {
+            x: 4.0,
+            y: 5.0,
+            scale: 1.5,
+            orientation: -0.5,
+            response: 0.1,
+            octave: 1,
+            level: 2,
+        };
+        let state = FrameState {
+            descriptors: (0..3)
+                .map(|i| vision::Descriptor {
+                    keypoint: kp,
+                    v: std::array::from_fn(|j| ((i * 128 + j) % 97) as f32 / 211.0),
+                })
+                .collect(),
+            fisher: vec![],
+            candidates: vec![],
+        };
+        let sent = encode_state(&state);
+        let sections = split_state(sent.clone()).expect("valid state");
+        assert_eq!(&sections.descriptors[..], &sent[..4 + 3 * DESC_WIRE_BYTES]);
+        let fisher = [0.5, -0.25];
+        let forwarded = join_state(&sections.descriptors, &fisher, &[2]);
+        let mut decoded = decode_state(sent).expect("valid state");
+        decoded.fisher = fisher.to_vec();
+        decoded.candidates = vec![2];
+        assert_eq!(forwarded, encode_state(&decoded));
+    }
+
+    #[test]
+    fn descriptor_count_must_match_its_section() {
+        let kp = vision::Keypoint {
+            x: 1.0,
+            y: 1.0,
+            scale: 1.0,
+            orientation: 0.0,
+            response: 1.0,
+            octave: 0,
+            level: 1,
+        };
+        let state = FrameState {
+            descriptors: vec![
+                vision::Descriptor {
+                    keypoint: kp,
+                    v: [0.1; 128]
+                };
+                2
+            ],
+            fisher: vec![0.5; 4],
+            candidates: vec![1],
+        };
+        let good = encode_state(&state).to_vec();
+        // Too many eats the Fisher section or runs past the payload's end;
+        // too few leaves a descriptor behind, whose `x` (1.0, 0x3f80_0000)
+        // is then read as the Fisher count.
+        for count in [3u32, 40, 1] {
+            let mut bad = good.clone();
+            bad[..4].copy_from_slice(&count.to_be_bytes());
+            assert_eq!(
+                decode_state(Bytes::from(bad.clone())),
+                Err(WireError::PayloadTruncated),
+                "count {count}"
+            );
+            // `split_state` alone (what `lsh` runs) catches it too.
+            assert!(split_state(Bytes::from(bad)).is_err(), "count {count}");
+        }
+        let section = split_state(Bytes::from(good)).unwrap().descriptors;
+        assert_eq!(
+            decode_descriptors(&section[..section.len() - 1]),
+            Err(WireError::PayloadTruncated)
+        );
     }
 
     #[test]

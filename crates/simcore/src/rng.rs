@@ -149,14 +149,6 @@ impl SimRng {
         -(1.0 - self.next_f64()).ln() / lambda
     }
 
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.next_bounded(i as u64 + 1) as usize;
-            slice.swap(i, j);
-        }
-    }
-
     /// Pick a uniformly random element index for a non-empty slice length.
     pub fn index(&mut self, len: usize) -> usize {
         self.next_bounded(len as u64) as usize
@@ -262,19 +254,5 @@ mod tests {
         let n = 50_000;
         let mean = (0..n).map(|_| r.exponential(2.0)).sum::<f64>() / n as f64;
         assert!((mean - 0.5).abs() < 0.02, "mean {mean}");
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = SimRng::new(23);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(
-            v, sorted,
-            "50-element shuffle landing on identity is ~impossible"
-        );
     }
 }

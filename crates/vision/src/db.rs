@@ -27,7 +27,8 @@ use crate::scene::SceneGenerator;
 #[derive(Debug, Clone)]
 pub struct ReferenceObject {
     pub name: String,
-    /// Descriptors in reference-view coordinates.
+    /// Descriptors in reference-view coordinates, quantised
+    /// ([`Descriptor::quantized`]) like every descriptor on the wire.
     pub descriptors: Vec<Descriptor>,
     /// Reference-view bounding box.
     pub bbox: BBox,
@@ -111,12 +112,14 @@ impl ReferenceDb {
             let owner = objects
                 .iter()
                 .rposition(|o| x >= o.bbox.x0 && x < o.bbox.x1 && y >= o.bbox.y0 && y < o.bbox.y1);
+            // An object keeps its descriptors as a frame's descriptors
+            // reach `matching`: through SIFT's byte format.
             if let Some(i) = owner {
-                objects[i].descriptors.push(d.clone());
+                objects[i].descriptors.push(d.quantized());
             }
         }
 
-        // Fit PCA + GMM over the pooled descriptor population.
+        // Fit PCA + GMM over the pooled raw descriptor population.
         let pooled: Vec<Vec<f64>> = descs
             .iter()
             .map(|d| d.v.iter().map(|&x| x as f64).collect())

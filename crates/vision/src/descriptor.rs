@@ -35,6 +35,48 @@ impl Descriptor {
     pub fn norm(&self) -> f32 {
         self.v.iter().map(|x| x * x).sum::<f32>().sqrt()
     }
+
+    /// This descriptor as it survives SIFT's byte format: each value
+    /// replaced by `dequantize(quantize(v))`.
+    pub fn quantized(&self) -> Descriptor {
+        Descriptor {
+            keypoint: self.keypoint,
+            v: dequantize(&quantize(&self.v)),
+        }
+    }
+}
+
+/// Scale of SIFT's byte format: a value `v` is stored as `round(512·v)`
+/// saturated to a byte, as OpenCV's `calcSIFTDescriptor` stores it.
+const QUANT_SCALE: f32 = 512.0;
+
+/// Quantise a descriptor vector to SIFT's byte format:
+/// `min(255, round(512·v))`, ties to even. NaN, −∞ and anything that
+/// rounds below 0 give 0; +∞ and anything that rounds above 255 give 255.
+/// Branch-free, so it vectorises: the clamp leaves `[0, 255]` (`max`
+/// drops a NaN), and adding 1.5·2²³ rounds to the nearest integer in
+/// the float's low mantissa bits — IEEE round-to-nearest-even, the same
+/// on every ISA.
+pub fn quantize(v: &[f32; DESC_DIM]) -> [u8; DESC_DIM] {
+    const ROUND: f32 = 12_582_912.0;
+    let mut q = [0u8; DESC_DIM];
+    for (q, &v) in q.iter_mut().zip(v) {
+        // `max` first, on its own: it maps NaN to 0, where `clamp` would
+        // keep the NaN.
+        let floored = (QUANT_SCALE * v).max(0.0);
+        *q = (floored.min(255.0) + ROUND).to_bits() as u8;
+    }
+    q
+}
+
+/// The values a quantised vector stands for: `q / 512`, exact in f32, so
+/// `quantize(&dequantize(q)) == q` for every byte vector.
+pub fn dequantize(q: &[u8; DESC_DIM]) -> [f32; DESC_DIM] {
+    let mut v = [0f32; DESC_DIM];
+    for (v, &q) in v.iter_mut().zip(q) {
+        *v = f32::from(q) / QUANT_SCALE;
+    }
+    v
 }
 
 /// Sample-grid spacing for a keypoint, in its octave's pixels.
@@ -213,6 +255,68 @@ mod tests {
         let img = g.frame(frame);
         let (pyr, kps) = detect(&img, &DetectorParams::default());
         describe_all(&pyr, &kps)
+    }
+
+    /// The branch-free quantiser is the saturating `round_ties_even` cast
+    /// it stands for: at every tie and its neighbours, on special values,
+    /// and on random bit patterns.
+    #[test]
+    fn quantize_is_the_saturating_rounded_cast() {
+        let reference = |v: f32| (QUANT_SCALE * v).round_ties_even() as u8;
+        let mut values = vec![
+            0.0,
+            -0.0,
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MAX,
+            f32::MIN,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            1e-45,
+            1.0,
+            -1.0,
+        ];
+        for k in -4..=520 {
+            let tie = (k as f32 + 0.5) / QUANT_SCALE;
+            values.extend([
+                tie,
+                f32::from_bits(tie.to_bits() + 1),
+                f32::from_bits(tie.to_bits() - 1),
+            ]);
+        }
+        let mut rng = SimRng::new(5);
+        values.extend((0..100_000).map(|_| f32::from_bits(rng.next_u64() as u32)));
+        values.extend((0..100_000).map(|_| rng.uniform(-0.1, 0.6) as f32));
+        for chunk in values.chunks(DESC_DIM) {
+            let mut v = [0f32; DESC_DIM];
+            v[..chunk.len()].copy_from_slice(chunk);
+            let q = quantize(&v);
+            for (i, &x) in v.iter().enumerate() {
+                assert_eq!(q[i], reference(x), "value {x:e} ({:#010x})", x.to_bits());
+            }
+        }
+        assert_eq!(quantize(&[f32::NAN; DESC_DIM]), [0; DESC_DIM]);
+        assert_eq!(quantize(&[f32::INFINITY; DESC_DIM]), [255; DESC_DIM]);
+        assert_eq!(quantize(&[-3.0; DESC_DIM]), [0; DESC_DIM]);
+        assert_eq!(quantize(&[0.75; DESC_DIM]), [255; DESC_DIM]);
+    }
+
+    #[test]
+    fn dequantize_inverts_quantize_on_every_byte() {
+        let q: [u8; DESC_DIM] = std::array::from_fn(|i| i as u8);
+        let hi: [u8; DESC_DIM] = std::array::from_fn(|i| (i + 128) as u8);
+        for q in [q, hi] {
+            assert_eq!(quantize(&dequantize(&q)), q);
+        }
+        let d = scene_descriptors(0).swap_remove(0);
+        let once = d.quantized();
+        assert_eq!(once.quantized(), once, "quantising twice changes nothing");
+        assert_eq!(once.keypoint, d.keypoint);
+        for (a, b) in d.v.iter().zip(&once.v) {
+            assert!((a - b).abs() <= 0.5 / QUANT_SCALE);
+        }
     }
 
     #[test]

@@ -30,22 +30,6 @@ impl GrayImage {
         }
     }
 
-    /// Convert interleaved RGB bytes (length `3 * w * h`) using the
-    /// Rec. 601 luma weights — the same conversion OpenCV's `cvtColor`
-    /// applies in the original pipeline's `primary` stage.
-    pub fn from_rgb8(width: usize, height: usize, rgb: &[u8]) -> Self {
-        assert_eq!(rgb.len(), 3 * width * height, "rgb buffer size mismatch");
-        let data = rgb
-            .chunks_exact(3)
-            .map(|px| (0.299 * px[0] as f32 + 0.587 * px[1] as f32 + 0.114 * px[2] as f32) / 255.0)
-            .collect();
-        GrayImage {
-            width,
-            height,
-            data,
-        }
-    }
-
     pub fn width(&self) -> usize {
         self.width
     }
@@ -176,16 +160,6 @@ impl GrayImage {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rgb_conversion_uses_luma_weights() {
-        // Pure red, green, blue pixels.
-        let rgb = [255u8, 0, 0, 0, 255, 0, 0, 0, 255];
-        let img = GrayImage::from_rgb8(3, 1, &rgb);
-        assert!((img.get(0, 0) - 0.299).abs() < 1e-5);
-        assert!((img.get(1, 0) - 0.587).abs() < 1e-5);
-        assert!((img.get(2, 0) - 0.114).abs() < 1e-5);
-    }
 
     #[test]
     fn resize_preserves_constant_image() {

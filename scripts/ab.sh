@@ -2,7 +2,7 @@
 # Alternating parent/change pairs of one benchmark workload: the protocol a
 # performance claim is judged by.
 #
-#   scripts/ab.sh [--patch FILE] <parent-rev> <workload> <pairs> [seeds]
+#   scripts/ab.sh [--patch FILE] [--moves ROW[,ROW]] <parent-rev> <workload> <pairs> [seeds]
 #
 # The parent revision is exported with `git archive` into a fresh
 # `mktemp -d` outside the repository (no worktree is registered, so an
@@ -31,10 +31,17 @@
 #   within bound  otherwise
 # The verdict is printed only; it does not change the exit status.
 #
+# The exact rows, `wire_kb_per_frame` and the reported `recognitions`, are
+# deterministic per seed: each side's runs of one seed must agree on them,
+# and each seed's parent -> change value is printed. A change that is meant
+# to move one declares it with `--moves` (`--moves
+# wire_kb_per_frame,recognitions`); an undeclared move fails.
+#
 # Exits non-zero if a run exits non-zero or reports `correct: false`, if
-# `wire_kb_per_frame` or the reported `recognitions` differ between any two
-# runs of one seed, or if the change fails a larger share of its attempted
-# frames than the parent (printed as WORSE FAILURE SHARE).
+# an exact row differs between two runs of one seed on one side, if an
+# exact row differs between the sides at a seed without `--moves` naming
+# it, or if the change fails a larger share of its attempted frames than
+# the parent (printed as WORSE FAILURE SHARE).
 #
 # AB_DIR (default target/ab) holds both target dirs, the build logs and
 # every run's output; AB_SECONDS (default 25) shortens the runs for a smoke
@@ -42,15 +49,31 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-patch=
-if [ "${1:-}" = --patch ] && [ $# -ge 2 ]; then
-    [ -f "$2" ] || { echo "ab: no such patch: $2" >&2; exit 2; }
-    patch=$(cd "$(dirname "$2")" && pwd)/$(basename "$2")
-    shift 2
-fi
-if [ $# -lt 3 ] || [ $# -gt 4 ]; then
-    echo "usage: $0 [--patch FILE] <parent-rev> <workload> <pairs> [seeds]" >&2
+usage() {
+    echo "usage: $0 [--patch FILE] [--moves ROW[,ROW]] <parent-rev> <workload> <pairs> [seeds]" >&2
     exit 2
+}
+patch= moves=
+while [ $# -ge 2 ]; do
+    case $1 in
+    --patch)
+        [ -f "$2" ] || { echo "ab: no such patch: $2" >&2; exit 2; }
+        patch=$(cd "$(dirname "$2")" && pwd)/$(basename "$2")
+        shift 2 ;;
+    --moves)
+        for row in ${2//,/ }; do
+            case $row in
+            wire_kb_per_frame|recognitions) ;;
+            *) echo "ab: --moves takes wire_kb_per_frame and recognitions, not $row" >&2; exit 2 ;;
+            esac
+        done
+        moves=$2
+        shift 2 ;;
+    *) break ;;
+    esac
+done
+if [ $# -lt 3 ] || [ $# -gt 4 ]; then
+    usage
 fi
 rev=$1 workload=$2 pairs=$3
 IFS=', ' read -r -a seeds <<< "${4:-7 1009}"
@@ -115,10 +138,11 @@ for ((i = 0; i < pairs; i++)); do
     fi
 done
 
-python3 - "$runs" "$root/BENCHMARK.json" "$workload" "$rev" "$patch" <<'EOF'
+python3 - "$runs" "$root/BENCHMARK.json" "$workload" "$rev" "$patch" "$moves" <<'EOF'
 import json, math, statistics, sys
 
-runs_path, bench_path, workload, rev, patch = sys.argv[1:]
+runs_path, bench_path, workload, rev, patch, moves = sys.argv[1:]
+moves = set(filter(None, moves.split(",")))
 metrics = json.load(open(bench_path))["end_to_end"]
 runs, ok = [], True
 for line in open(runs_path):
@@ -183,19 +207,30 @@ for m in metrics:
              f" -> {by[p, 'change']['values'].get(name, float('nan')):.6g}"
              for p in pairs if (p, "parent") in by and (p, "change") in by]
     print(f"  {name}: " + ", ".join(cells))
+print("exact rows per seed (parent -> change)" + (f", declared moves: {', '.join(sorted(moves))}" if moves else ""))
 for seed in sorted({r["seed"] for r in runs}):
-    same = [r for r in runs if r["seed"] == seed]
-    wire = {r["values"].get("wire_kb_per_frame") for r in same}
-    recog = sorted({r["recog"] for r in same})
-    failed = [r["failed"] for r in same]
-    print(f"seed {seed}: wire_kb_per_frame {sorted(wire, key=str)}, {', '.join(recog)}, failed frames {failed}")
-    if len(wire) != 1:
-        ok = False
-        print(f"FAILED: wire_kb_per_frame differs within seed {seed}")
-    # A run none of whose segments completed every frame names none.
-    if len([r for r in recog if r != "recognitions ?"]) > 1:
-        ok = False
-        print(f"FAILED: recognitions differ within seed {seed}")
+    exact = {}
+    for side in ("parent", "change"):
+        same = [r for r in runs if r["seed"] == seed and r["side"] == side]
+        wire = {r["values"].get("wire_kb_per_frame") for r in same}
+        # A run none of whose segments completed every frame names none.
+        recog = {r["recog"] for r in same} - {"recognitions ?"}
+        print(f"  seed {seed} {side}: failed frames {[r['failed'] for r in same]}")
+        for row, values in (("wire_kb_per_frame", wire), ("recognitions", recog)):
+            if len(values) > 1:
+                ok = False
+                print(f"FAILED: {row} differs between {side} runs of seed {seed}: {sorted(values, key=str)}")
+            exact.setdefault(row, []).append(next(iter(values)) if len(values) == 1 else None)
+    for row, (before, after) in exact.items():
+        if before is None or after is None or before == after:
+            word = "same" if before == after else "not comparable"
+        elif row in moves:
+            word = "moved, declared"
+        else:
+            ok = False
+            word = "MOVED, NOT DECLARED"
+        shown = [str(v).removeprefix("recognitions ") for v in (before, after)]
+        print(f"  seed {seed} {row}: {shown[0]} -> {shown[1]}  {word}")
 share = {}
 for side in ("parent", "change"):
     mine = [r for r in runs if r["side"] == side]

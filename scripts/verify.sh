@@ -2,6 +2,8 @@
 # Full local verification gate. Every stage exits non-zero on failure:
 #   fmt, clippy -D warnings, rustdoc -D warnings, release build, tests
 #   vision:       optimised, the SIFT golden oracle and the full 10^7 angle-bin sweeps
+#   recognition:  optimised, the recognised frames of the whole camera loop through the
+#                 services' stage functions and the wire codec (tests/recognition.rs)
 #   portable ISA: the vision tests again from a `-C target-cpu=x86-64` build, so
 #                 the native build (.cargo/config.toml) and a portable one
 #                 reproduce the same output bits (tests/isa_digest.rs)
@@ -35,6 +37,9 @@ cargo test -q
 
 echo "==> vision, optimised: SIFT golden oracle and the full angle-bin sweeps"
 cargo test -q --release -p vision
+
+echo "==> recognition oracle, optimised: the whole camera loop's recognised frames at seeds 7 and 1009"
+cargo test -q --release -p experiments --test recognition
 
 echo "==> vision, portable ISA: the same output bits from a baseline x86-64 build"
 RUSTFLAGS="-C target-cpu=x86-64" cargo test -q --release -p vision --target-dir target/baseline-isa

@@ -71,7 +71,8 @@ fn runtime_statistics_are_consistent() {
 /// are undefined on — a Fisher vector of the wrong length, NaN/∞ floats —
 /// used to hit an `assert`/`expect` inside `lsh` or `matching`; the
 /// service thread died and every later frame was lost. They are now
-/// rejected at the stage's typed decode and counted.
+/// rejected at the stage's typed decode and counted, as is a state whose
+/// descriptor count overruns its section.
 ///
 /// What the run shows is counted, not timed: an unoptimised build may
 /// not keep up with 10 FPS, so the staleness filter sheds what falls
@@ -119,24 +120,26 @@ fn crafted_state_datagrams_are_counted_not_fatal() {
         mutate(&mut s);
         s
     };
+    let encoded = |mutate: &dyn Fn(&mut FrameState)| wire::encode_state(&state(mutate));
+    // A descriptor count one past the section it leads: the block then
+    // swallows the Fisher section and overruns the payload.
+    let mut overrun = encoded(&|_| {}).to_vec();
+    overrun[..4].copy_from_slice(&(descriptors.len() as u32 + 1).to_be_bytes());
     let crafted = [
-        (ServiceKind::Lsh, state(&|s| s.fisher.truncate(3))),
-        (ServiceKind::Lsh, state(&|s| s.fisher.fill(f32::NAN))),
+        (ServiceKind::Lsh, encoded(&|s| s.fisher.truncate(3))),
+        (ServiceKind::Lsh, encoded(&|s| s.fisher.fill(f32::NAN))),
         (
             ServiceKind::Matching,
-            state(&|s| {
+            encoded(&|s| {
                 s.descriptors
                     .iter_mut()
                     .for_each(|d| d.keypoint.x = f32::NAN)
             }),
         ),
-        (
-            ServiceKind::Matching,
-            state(&|s| s.descriptors[0].v[5] = f32::INFINITY),
-        ),
+        (ServiceKind::Matching, bytes::Bytes::from(overrun)),
     ];
     let attacker = std::net::UdpSocket::bind("127.0.0.1:0").expect("bind");
-    for (i, (step, state)) in crafted.iter().enumerate() {
+    for (i, (step, payload)) in crafted.iter().enumerate() {
         let msg = WireMsg {
             client: 9,
             frame_no: i as u32,
@@ -148,7 +151,7 @@ fn crafted_state_datagrams_are_counted_not_fatal() {
             trace_id: (9u64 << 32) | i as u64,
             flags: 0,
             sent_micros: 0,
-            payload: wire::encode_state(state),
+            payload: payload.clone(),
         };
         for datagram in wire::encode(&msg) {
             attacker
@@ -157,7 +160,7 @@ fn crafted_state_datagrams_are_counted_not_fatal() {
         }
     }
     // The unpoisoned state is a valid payload: only the values differ.
-    assert!(wire::decode_state(wire::encode_state(&state(&|_| {}))).is_ok());
+    assert!(wire::decode_state(encoded(&|_| {})).is_ok());
 
     let report = dep.run_client();
     let frames_seen = Analysis::from_log(&dep.shutdown());

@@ -13,15 +13,16 @@
 //!    or is dropped for resync — never wrong pixels — and every
 //!    delivered keyframe reconstructs.
 //!
-//! Plus two equivalences the bulk/early-out rewrites of the hot path
+//! Plus the equivalences the bulk/early-out rewrites of the hot path
 //! must hold: the typed v1 payload codecs write the bytes a per-value
-//! writer would, and `match_descriptors` returns the matches of the
-//! exhaustive search.
+//! writer would, a state payload's descriptors decode to their quantised
+//! values and re-encode to the bytes they came from, and
+//! `match_descriptors` returns the matches of the exhaustive search.
 
 use bytes::{BufMut, Bytes, BytesMut};
 use proptest::prelude::*;
 use scatter::runtime::wire::{
-    decode_frame, decode_state, encode_frame, encode_state, FrameState, WireMsg,
+    decode_frame, decode_state, encode_frame, encode_state, FrameState, WireMsg, DESC_WIRE_BYTES,
 };
 use scatter::wirev2::codec::{maybe_compress, Codec};
 use scatter::wirev2::{
@@ -77,6 +78,23 @@ impl Mix {
     fn unit(&mut self) -> f32 {
         (self.next() >> 40) as f32 / (1u64 << 24) as f32
     }
+
+    /// A descriptor value: any bit pattern (NaN and ±∞ included) one
+    /// time in four, else a value around SIFT's byte range, where the
+    /// rounding decides.
+    fn descriptor_value(&mut self) -> f32 {
+        match self.next() % 4 {
+            0 => f32::from_bits(self.next() as u32),
+            _ => self.unit() * 0.6 - 0.05,
+        }
+    }
+}
+
+/// SIFT's byte format for one descriptor value, written as its
+/// definition: `round(512·v)` ties to even, saturated to a byte (NaN
+/// gives 0).
+fn quantise(v: f32) -> u8 {
+    (512.0 * v).round_ties_even() as u8
 }
 
 fn random_state(mix: &mut Mix, n_desc: usize, n_fisher: usize, n_cand: usize) -> FrameState {
@@ -92,7 +110,7 @@ fn random_state(mix: &mut Mix, n_desc: usize, n_fisher: usize, n_cand: usize) ->
                     octave: (mix.next() % 256) as usize,
                     level: (mix.next() % 256) as usize,
                 },
-                v: std::array::from_fn(|_| mix.finite_f32()),
+                v: std::array::from_fn(|_| mix.descriptor_value()),
             })
             .collect(),
         fisher: (0..n_fisher).map(|_| mix.finite_f32()).collect(),
@@ -113,7 +131,7 @@ fn encode_state_per_value(state: &FrameState) -> BytesMut {
         buf.put_u8(k.octave as u8);
         buf.put_u8(k.level as u8);
         for &v in &d.v {
-            buf.put_f32(v);
+            buf.put_u8(quantise(v));
         }
     }
     buf.put_u32(state.fisher.len() as u32);
@@ -298,8 +316,8 @@ proptest! {
     }
 
     /// The bulk `encode_state` writes exactly the bytes of the per-value
-    /// writer — empty descriptor lists and Fisher vectors included — and
-    /// every finite state round-trips bit for bit.
+    /// writer — empty descriptor lists and Fisher vectors, non-finite and
+    /// out-of-range descriptor values included.
     #[test]
     fn bulk_state_codec_matches_per_value_writer(
         seed in 0u64..u64::MAX,
@@ -308,14 +326,64 @@ proptest! {
         n_cand in 0usize..4,
     ) {
         let state = random_state(&mut Mix(seed), n_desc, n_fisher, n_cand);
-        let bulk = encode_state(&state);
-        prop_assert_eq!(&bulk[..], &encode_state_per_value(&state)[..]);
-        let back = decode_state(bulk).expect("finite state decodes");
-        prop_assert_eq!(
-            &encode_state_per_value(&back)[..],
-            &encode_state_per_value(&state)[..],
-            "round trip changed bits"
-        );
+        prop_assert_eq!(&encode_state(&state)[..], &encode_state_per_value(&state)[..]);
+    }
+
+    /// `decode ∘ encode = quantise`: a state comes back with every
+    /// descriptor value replaced by its byte over 512 and every other
+    /// field bit for bit.
+    #[test]
+    fn decoded_state_is_the_quantised_state(
+        seed in 0u64..u64::MAX,
+        n_desc in 0usize..5,
+        n_fisher in 0usize..300,
+        n_cand in 0usize..4,
+    ) {
+        let state = random_state(&mut Mix(seed), n_desc, n_fisher, n_cand);
+        let back = decode_state(encode_state(&state)).expect("finite keypoints decode");
+        prop_assert_eq!(back.descriptors.len(), state.descriptors.len());
+        for (b, d) in back.descriptors.iter().zip(&state.descriptors) {
+            prop_assert_eq!(b.keypoint, d.keypoint);
+            for (&got, &v) in b.v.iter().zip(&d.v) {
+                prop_assert_eq!(got.to_bits(), (f32::from(quantise(v)) / 512.0).to_bits());
+            }
+        }
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&back.fisher), bits(&state.fisher));
+        prop_assert_eq!(&back.candidates, &state.candidates);
+    }
+
+    /// `encode ∘ decode = id` on valid bytes: a stage that re-encodes a
+    /// decoded state writes the payload it received, so forwarding the
+    /// descriptor section untouched and re-encoding it are the same.
+    #[test]
+    fn re_encoded_payload_is_the_received_one(
+        seed in 0u64..u64::MAX,
+        n_desc in 0usize..5,
+        n_fisher in 0usize..300,
+        n_cand in 0usize..4,
+    ) {
+        let mut mix = Mix(seed);
+        let mut payload = encode_state_per_value(&random_state(&mut mix, n_desc, 0, 0)).to_vec();
+        // Any byte is a valid descriptor value.
+        for d in 0..n_desc {
+            let at = 4 + d * DESC_WIRE_BYTES + 22;
+            for b in &mut payload[at..at + 128] {
+                *b = mix.next() as u8;
+            }
+        }
+        payload.truncate(4 + n_desc * DESC_WIRE_BYTES);
+        payload.put_u32(n_fisher as u32);
+        for _ in 0..n_fisher {
+            payload.put_f32(mix.finite_f32());
+        }
+        payload.put_u32(n_cand as u32);
+        for _ in 0..n_cand {
+            payload.put_u32(mix.next() as u32);
+        }
+        let payload = Bytes::from(payload);
+        let back = decode_state(payload.clone()).expect("valid bytes decode");
+        prop_assert_eq!(&encode_state(&back)[..], &payload[..]);
     }
 
     /// Same for the grayscale frame payload, over out-of-range and
